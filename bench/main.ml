@@ -351,11 +351,9 @@ let copy_ablation () =
       in
       let persistent = time_n 2000 (fun () -> Sm_mergeable.Workspace.copy ws) in
       (* what the paper's unoptimized framework did: structural deep copy of
-         every value (simulated via marshalling, a faithful full copy) *)
+         every value (the Ref_copy model, a Marshal round-trip) *)
       let deep =
-        time_n 200 (fun () ->
-            (Marshal.from_string (Marshal.to_string payloads []) 0 : string list))
-        *. float_of_int n_queues
+        time_n 200 (fun () -> Sm_check.Ref_copy.deep_copy payloads) *. float_of_int n_queues
       in
       Format.printf "%2d queues x %3d msgs         %10.1f us    %10.1f us  %8.0fx@." n_queues
         n_items persistent deep (deep /. persistent);
@@ -702,13 +700,26 @@ let journal_bench () =
     (if ok then "ok" else "FAILED");
   ok
 
-(* --- spawn: O(cells) copy-on-write sharing vs the deep-copy baseline -------- *)
+(* --- spawn: O(cells) copy-on-write sharing vs the deep-copy model ----------- *)
 
 (* Workspaces for the spawn sweep: one text cell carrying the bulk state
    (1k -> 1M chars) plus a counter, so every spawn shares exactly two cells.
-   Module-level keys: one mint site, reused across every size. *)
+   Module-level keys: one mint site, reused across every size.  The
+   [_deep] pair has the same names over [Ref_copy.detached] data modules:
+   every apply also runs on a deep copy of its input, the paper's model, and
+   digests stay comparable. *)
 let sk_text = Sm_mergeable.Mtext.key ~name:"spawn.text"
 let sk_counter = Sm_mergeable.Mcounter.key ~name:"spawn.counter"
+
+let sk_text_deep =
+  Sm_mergeable.Workspace.create_key
+    (Sm_check.Ref_copy.detached (module Sm_mergeable.Mtext.Data))
+    ~name:"spawn.text"
+
+let sk_counter_deep =
+  Sm_mergeable.Workspace.create_key
+    (Sm_check.Ref_copy.detached (module Sm_mergeable.Mcounter.Data))
+    ~name:"spawn.counter"
 
 let spawn_ws ~chars =
   let ws = Sm_mergeable.Workspace.create () in
@@ -716,42 +727,61 @@ let spawn_ws ~chars =
   Sm_mergeable.Workspace.init ws sk_counter 0;
   ws
 
-(* Per-copy wall time of [Workspace.copy] under the active representation:
-   [reps] batches of [iters] copies each, min-of-batches, in us.  Min is the
-   right statistic here — noise (GC, scheduler) only ever adds time, and the
-   gate asks about the cost of the operation, not the weather. *)
-let time_spawn_copy ws ~iters ~reps =
+(* The paper's spawn: share the workspace, then deep-copy every state
+   (Ref_copy's Marshal round-trip). *)
+let deep_spawn_copy ws =
+  let module Ws = Sm_mergeable.Workspace in
+  let copy = Ws.copy ws in
+  ignore (Sys.opaque_identity (Sm_check.Ref_copy.deep_copy (Ws.read ws sk_text)));
+  ignore (Sys.opaque_identity (Sm_check.Ref_copy.deep_copy (Ws.read ws sk_counter)));
+  copy
+
+(* Per-copy wall time of [copy ws]: [reps] batches of [iters] copies each,
+   min-of-batches, in us.  Min is the right statistic here — noise (GC,
+   scheduler) only ever adds time, and the gate asks about the cost of the
+   operation, not the weather. *)
+let time_spawn_copy ?(copy = Sm_mergeable.Workspace.copy) ws ~iters ~reps =
   let batch () =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to iters do
-      ignore (Sys.opaque_identity (Sm_mergeable.Workspace.copy ws))
+      ignore (Sys.opaque_identity (copy ws))
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e6
   in
   List.fold_left (fun acc _ -> Float.min acc (batch ())) (batch ()) (List.init (reps - 1) Fun.id)
 
-(* A real spawn/merge program over the same keys, for the cross-representation
-   digest check and the depth/width sweep: a [width]-ary spawn tree [depth]
-   levels deep; every task appends a marker and bumps the counter, every
-   parent merge-alls its children. *)
-let rec spawn_tree ctx ~depth ~width =
+(* A real spawn/merge program, for the deep-copy-model digest check and the
+   depth/width sweep: a [width]-ary spawn tree [depth] levels deep; every
+   task appends a marker and bumps the counter, every parent merge-alls its
+   children.  [deep] runs it over the [Ref_copy.detached] keys and adds the
+   bytes the paper's spawn would deep-copy ([Ref_copy.size_bytes] of every
+   state) to [copied]. *)
+let rec spawn_tree ?copied ~text ~counter ctx ~depth ~width =
   let ws = Sm_core.Runtime.workspace ctx in
-  Sm_mergeable.Mtext.append ws sk_text "m";
-  Sm_mergeable.Mcounter.incr ws sk_counter;
+  Sm_mergeable.Mtext.append ws text "m";
+  Sm_mergeable.Mcounter.incr ws counter;
   if depth > 0 then begin
     for _ = 1 to width do
-      ignore (Sm_core.Runtime.spawn ctx (fun ctx -> spawn_tree ctx ~depth:(depth - 1) ~width))
+      Option.iter
+        (fun c ->
+          let size k = Sm_check.Ref_copy.size_bytes (Sm_mergeable.Workspace.read ws k) in
+          c := !c + size text + size counter)
+        copied;
+      ignore
+        (Sm_core.Runtime.spawn ctx (fun ctx ->
+             spawn_tree ?copied ~text ~counter ctx ~depth:(depth - 1) ~width))
     done;
     Sm_core.Runtime.merge_all ctx
   end
 
-let spawn_tree_run ~chars ~depth ~width =
+let spawn_tree_run ?copied ?(deep = false) ~chars ~depth ~width () =
   let module Rt = Sm_core.Runtime in
+  let text, counter = if deep then (sk_text_deep, sk_counter_deep) else (sk_text, sk_counter) in
   Rt.Coop.run (fun ctx ->
       let ws = Rt.workspace ctx in
-      Sm_mergeable.Mtext.init ws sk_text (String.make chars 'x');
-      Sm_mergeable.Workspace.init ws sk_counter 0;
-      spawn_tree ctx ~depth ~width;
+      Sm_mergeable.Mtext.init ws text (String.make chars 'x');
+      Sm_mergeable.Workspace.init ws counter 0;
+      spawn_tree ?copied ~text ~counter ctx ~depth ~width;
       Sm_mergeable.Workspace.digest ws)
 
 let pp_chars chars =
@@ -760,20 +790,17 @@ let pp_chars chars =
 
 (* Gates: (a) COW spawn cost is flat in state size — the 1M-char per-copy
    time within 5x of the 1k-char one; (b) >= 10x cheaper than the deep-copy
-   baseline at 1M chars; (c) the same spawn-tree program digests identically
-   under both representations.  Returns whether all held; the driver turns
+   baseline (a Marshal copy per state) at 1M chars; (c) the same spawn-tree
+   program digests identically with every apply also checked against a deep
+   copy ([Ref_copy.detached]).  Returns whether all held; the driver turns
    that into the exit code after writing BENCH_spawn.json. *)
 let spawn_bench () =
-  section "spawn: copy-on-write workspace sharing vs the deep-copy baseline";
+  section "spawn: copy-on-write workspace sharing vs the deep-copy model";
   let module Ws = Sm_mergeable.Workspace in
   let module M = Sm_obs.Metrics in
-  let saved_cow = Ws.cow_enabled () in
   let saved_m = M.is_enabled () in
   M.set_enabled true;
-  Fun.protect ~finally:(fun () ->
-      Ws.set_cow saved_cow;
-      M.set_enabled saved_m)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> M.set_enabled saved_m) @@ fun () ->
   let sizes = [ 1_000; 10_000; 100_000; 1_000_000 ] in
   (* warm up allocator/code paths so the first (smallest) row isn't penalized *)
   ignore (time_spawn_copy (spawn_ws ~chars:1_000) ~iters:200 ~reps:2);
@@ -783,12 +810,14 @@ let spawn_bench () =
     List.map
       (fun chars ->
         let ws = spawn_ws ~chars in
-        Ws.set_cow true;
         let cow_us = time_spawn_copy ws ~iters:1000 ~reps:5 in
-        Ws.set_cow false;
-        (* deep copies of 1M chars are ~4 orders slower; fewer iters suffice *)
-        let deep_us = time_spawn_copy ws ~iters:(if chars >= 100_000 then 50 else 500) ~reps:5 in
-        Ws.set_cow true;
+        (* deep copies of 1M chars are orders of magnitude slower; fewer
+           iters suffice *)
+        let deep_us =
+          time_spawn_copy ~copy:deep_spawn_copy ws
+            ~iters:(if chars >= 100_000 then 50 else 500)
+            ~reps:5
+        in
         record (Printf.sprintf "copy/cow=on/chars=%d" chars) (cow_us /. 1000.0);
         record (Printf.sprintf "copy/cow=off/chars=%d" chars) (deep_us /. 1000.0);
         Format.printf "%-12s %11.2f us %11.2f us %9.0fx@." (pp_chars chars ^ " chars") cow_us
@@ -814,7 +843,7 @@ let spawn_bench () =
             total depth - 1
           in
           let t0 = Unix.gettimeofday () in
-          let (_ : string) = spawn_tree_run ~chars ~depth ~width in
+          let (_ : string) = spawn_tree_run ~chars ~depth ~width () in
           let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
           record (Printf.sprintf "tree/d=%d/w=%d/chars=%d" depth width chars) ms;
           Format.printf "%-12s %8d %8d %12d %11.1f us@." (pp_chars chars ^ " chars") depth width tasks
@@ -822,19 +851,16 @@ let spawn_bench () =
           Format.print_flush ())
         [ 10_000; 1_000_000 ])
     [ (3, 4); (64, 1) ];
-  (* cross-representation equivalence + counter accounting on one tree *)
-  let hits0 = M.value Ws.cow_hits and bytes0 = M.value Ws.copy_bytes in
-  let d_cow = spawn_tree_run ~chars:10_000 ~depth:3 ~width:4 in
-  let cow_hits = M.value Ws.cow_hits - hits0 and cow_bytes = M.value Ws.copy_bytes - bytes0 in
-  Ws.set_cow false;
-  let hits1 = M.value Ws.cow_hits and bytes1 = M.value Ws.copy_bytes in
-  let d_deep = spawn_tree_run ~chars:10_000 ~depth:3 ~width:4 in
-  let deep_hits = M.value Ws.cow_hits - hits1 and deep_bytes = M.value Ws.copy_bytes - bytes1 in
-  Ws.set_cow true;
-  Format.printf "@.equivalence: cow digest %s, deep digest %s (%s)@." d_cow d_deep
+  (* deep-copy-model equivalence + accounting on one tree *)
+  let hits0 = M.value Ws.cow_hits in
+  let d_cow = spawn_tree_run ~chars:10_000 ~depth:3 ~width:4 () in
+  let cow_hits = M.value Ws.cow_hits - hits0 in
+  let deep_bytes = ref 0 in
+  let d_deep = spawn_tree_run ~copied:deep_bytes ~deep:true ~chars:10_000 ~depth:3 ~width:4 () in
+  Format.printf "@.equivalence: cow digest %s, deep-copy model digest %s (%s)@." d_cow d_deep
     (if String.equal d_cow d_deep then "identical" else "DIFFER — COW CHANGED THE MERGE");
-  Format.printf "accounting:  cow: %d cow_hits, %d bytes copied; deep: %d cow_hits, %d bytes copied@."
-    cow_hits cow_bytes deep_hits deep_bytes;
+  Format.printf "accounting:  cow: %d cow_hits, 0 bytes copied; deep-copy model: %d bytes copied@."
+    cow_hits !deep_bytes;
   let chars_of (c, _, _) = c in
   let cow_of (_, c, _) = c and deep_of (_, _, d) = d in
   let at n = List.find (fun r -> chars_of r = n) rows in
@@ -842,17 +868,16 @@ let spawn_bench () =
   let ratio = deep_of (at 1_000_000) /. cow_of (at 1_000_000) in
   let ratio_ok = ratio >= 10.0 in
   let digest_ok = String.equal d_cow d_deep in
-  let ok = flat_ok && ratio_ok && digest_ok && cow_bytes = 0 in
+  let ok = flat_ok && ratio_ok && digest_ok in
   Format.printf
     "@.gate: %s (flat: 1M/1k cow ratio %.1fx <= 5x: %s; 1M deep/cow %.0fx >= 10x: %s; digests \
-     equal: %s; 0 bytes copied under cow: %s)@."
+     equal: %s)@."
     (if ok then "ok" else "FAILED")
     (cow_of (at 1_000_000) /. cow_of (at 1_000))
     (if flat_ok then "ok" else "FAIL")
     ratio
     (if ratio_ok then "ok" else "FAIL")
-    (if digest_ok then "ok" else "FAIL")
-    (if cow_bytes = 0 then "ok" else "FAIL");
+    (if digest_ok then "ok" else "FAIL");
   ok
 
 (* --- service: the shard service under an editor fleet ----------------------- *)
@@ -1065,7 +1090,7 @@ let obs_bench () =
    oracle battery (the per-seed cost of `sm-fuzz run`). *)
 let fuzz_bench () =
   section "fuzz: seeds/second through generation, execution, oracles";
-  let profile = Sm_fuzz.Program.det_profile in
+  let profile = Sm_ir.Program.det_profile in
   let depth = 3 in
   let stage label seeds f =
     let t0 = Unix.gettimeofday () in
@@ -1100,9 +1125,19 @@ let fuzz_bench () =
 
 (* --- text: chunked-rope documents vs the flat-string baseline --------------- *)
 
-(* One key for every text run in this process: a single mint site, like the
-   spawn and service keys above. *)
+(* One key per model for every text run in this process: a single mint
+   site, like the spawn and service keys above.  The flat key holds a plain
+   string under the flat reference model (same type and key names, so the
+   digests are comparable). *)
 let tk_doc = Sm_mergeable.Mtext.key ~name:"text.doc"
+
+module Flat_text = struct
+  include Sm_check.Ref_text
+
+  let type_name = Sm_mergeable.Mtext.Data.type_name
+end
+
+let tk_flat = Sm_mergeable.Workspace.create_key (module Flat_text) ~name:"text.doc"
 
 (* A deterministic [nops]-op edit session valid on a [len]-byte document:
    mixed inserts (55%, 1-24 bytes) and deletes (1-32 bytes), positions
@@ -1126,26 +1161,27 @@ let text_session ~seed ~len ~nops =
       end)
 
 (* Gates: (a) the 1M-char/10k-op session runs >= 10x faster on the rope than
-   on the flat string; (b) both representations land on byte-identical
-   documents, and a workspace-level session digests identically under either
-   SM_ROPE setting; (c) the packed journal encoding of the session is
-   strictly smaller than the classic tagged-op-list one.  Returns whether
-   all held; the driver turns that into the exit code after writing
+   on the flat string of the reference model ([Ref_text]); (b) both land on
+   byte-identical documents, and a workspace-level session digests
+   identically over either; (c) the packed journal encoding of the session is
+   strictly smaller than a tagged op list ([Codec.list op_codec]).  Returns
+   whether all held; the driver turns that into the exit code after writing
    BENCH_text.json. *)
 let text_bench () =
   section "text: chunked-rope Mtext vs the flat-string baseline";
   let module T = Sm_ot.Op_text in
+  let module F = Sm_check.Ref_text in
   let module C = Sm_util.Codec in
   let nops = 10_000 in
-  let time_once st ops =
+  let time_once apply st ops =
     let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (List.fold_left T.apply st ops));
+    ignore (Sys.opaque_identity (List.fold_left apply st ops));
     (Unix.gettimeofday () -. t0) *. 1000.0
   in
-  let time_min ~reps st ops =
+  let time_min ~reps apply st ops =
     List.fold_left
-      (fun acc _ -> Float.min acc (time_once st ops))
-      (time_once st ops)
+      (fun acc _ -> Float.min acc (time_once apply st ops))
+      (time_once apply st ops)
       (List.init (max 0 (reps - 1)) Fun.id)
   in
   Format.printf "@.%d-op edit sessions (55%% ins / 45%% del), min over batches:@.@." nops;
@@ -1155,8 +1191,8 @@ let text_bench () =
       (fun chars ->
         let doc = String.init chars (fun i -> Char.chr (97 + (i mod 26))) in
         let ops = text_session ~seed:(Int64.of_int (0xB00C + chars)) ~len:chars ~nops in
-        let rope_ms = time_min ~reps:3 (T.rope_of_string doc) ops in
-        let flat_ms = time_min ~reps:(if chars >= 1_000_000 then 1 else 2) (T.flat_of_string doc) ops in
+        let rope_ms = time_min ~reps:3 T.apply (T.of_string doc) ops in
+        let flat_ms = time_min ~reps:(if chars >= 1_000_000 then 1 else 2) F.apply doc ops in
         record (Printf.sprintf "apply/rope/chars=%d" chars) rope_ms;
         record (Printf.sprintf "apply/flat/chars=%d" chars) flat_ms;
         Format.printf "%-12s %9.2f ms %9.2f ms %9.1fx@." (pp_chars chars ^ " chars") rope_ms
@@ -1168,34 +1204,30 @@ let text_bench () =
   let chars_of (c, _, _, _, _) = c in
   let _, doc1m, ops1m, rope_ms, flat_ms = List.find (fun r -> chars_of r = 1_000_000) rows in
   (* equivalence on the gated session: byte-identical final documents *)
-  let final st = List.fold_left T.apply st ops1m in
-  let f_rope = final (T.rope_of_string doc1m) and f_flat = final (T.flat_of_string doc1m) in
-  let md5 st = Digest.to_hex (Digest.string (T.to_string st)) in
-  let doc_ok = T.equal_state f_rope f_flat && String.equal (md5 f_rope) (md5 f_flat) in
-  Format.printf "@.equivalence: rope md5 %s, flat md5 %s (%s)@." (md5 f_rope) (md5 f_flat)
+  let f_rope = List.fold_left T.apply (T.of_string doc1m) ops1m in
+  let f_flat = List.fold_left F.apply doc1m ops1m in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let m_rope = md5 (T.to_string f_rope) and m_flat = md5 f_flat in
+  let doc_ok = Sm_ot.Rope.equal_string f_rope f_flat && String.equal m_rope m_flat in
+  Format.printf "@.equivalence: rope md5 %s, flat md5 %s (%s)@." m_rope m_flat
     (if doc_ok then "identical" else "DIFFER — ROPE CHANGED THE DOCUMENT");
-  (* workspace-level digests under either representation switch setting *)
+  (* workspace-level digests: the same session on a rope cell and on a
+     flat-model cell *)
   let _, doc100k, ops100k, _, _ = List.find (fun r -> chars_of r = 100_000) rows in
   let session = List.filteri (fun i _ -> i < 2_000) ops100k in
-  let ws_digest rope =
-    let saved = T.rope_enabled () in
-    Fun.protect ~finally:(fun () -> T.set_rope saved) @@ fun () ->
-    T.set_rope rope;
+  let ws_digest key init =
     let ws = Sm_mergeable.Workspace.create () in
-    Sm_mergeable.Mtext.init ws tk_doc doc100k;
-    List.iter
-      (function
-        | T.Ins (p, s) -> Sm_mergeable.Mtext.insert ws tk_doc p s
-        | T.Del (p, l) -> Sm_mergeable.Mtext.delete ws tk_doc ~pos:p ~len:l)
-      session;
+    Sm_mergeable.Workspace.init ws key init;
+    List.iter (Sm_mergeable.Workspace.update ws key) session;
     Sm_mergeable.Workspace.digest ws
   in
-  let d_rope = ws_digest true and d_flat = ws_digest false in
+  let d_rope = ws_digest tk_doc (T.of_string doc100k) and d_flat = ws_digest tk_flat doc100k in
   let digest_ok = String.equal d_rope d_flat in
   Format.printf "workspace:   rope digest %s, flat digest %s (%s)@." d_rope d_flat
-    (if digest_ok then "identical" else "DIFFER — SM_ROPE CHANGED THE MERGE");
-  (* wire image of the session journal: packed (v3 frames) vs classic *)
+    (if digest_ok then "identical" else "DIFFER — ROPE CHANGED THE MERGE");
+  (* wire image of the session journal: packed vs a tagged op list *)
   let packed = String.length (C.encode Sm_dist.Codable.Text.journal_codec ops1m) in
+  (* a tagged op list: the size the packed codec must beat *)
   let classic = String.length (C.encode (C.list Sm_dist.Codable.Text.op_codec) ops1m) in
   record "journal/packed_kb" (float_of_int packed /. 1024.0);
   record "journal/classic_kb" (float_of_int classic /. 1024.0);

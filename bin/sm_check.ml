@@ -179,6 +179,7 @@ let list_types () =
     ; Check.Report.Merge_order
     ; Check.Report.Merge_nested
     ; Check.Report.Compact
+    ; Check.Report.Persistence
     ]
 
 (* --- cmdliner -------------------------------------------------------------- *)

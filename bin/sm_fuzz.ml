@@ -22,7 +22,7 @@
    mutation jobs and treats 1 as red everywhere. *)
 
 module F = Sm_fuzz
-module Program = F.Program
+module Program = Sm_ir.Program
 module Oracle = F.Oracle
 module Fuzzer = F.Fuzzer
 

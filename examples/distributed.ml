@@ -40,8 +40,6 @@ module Count_map = struct
   let commutes _ _ = true
 
   let equal_state = M.equal Int.equal
-  let copy_state s = M.fold M.add s M.empty
-  let state_size s = Sm_ot.Op_sig.word_bytes * (1 + (6 * M.cardinal s))
 
   let pp_state ppf s =
     Format.fprintf ppf "{%a}"

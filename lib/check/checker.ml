@@ -124,6 +124,15 @@ module Make (E : Enum.S) = struct
     in
     E.equal_state s_on s_off && String.equal d_on d_off
 
+  (* --- persistence ----------------------------------------------------------- *)
+
+  (* Workspaces alias snapshots across share points, which equals the
+     paper's deep copy only if [apply] never writes into its input. *)
+  let persistent state op =
+    let before = Ref_copy.image state in
+    ignore (E.apply state op);
+    String.equal (Ref_copy.image state) before
+
   (* Scenario = [applied; left; right; nested]: the shape the shrinker
      rewrites.  Evaluation of a shape a property does not use (e.g. TP1 with
      0 or 2 ops on a side) returns "holds", which makes the shrinker reject
@@ -149,6 +158,10 @@ module Make (E : Enum.S) = struct
            | [], [ a ], [ b ] -> commutes_contract a b
            | _ -> true)
         && merge_flag_equiv (fresh_key ()) state ~applied ~cx:left ~cy:right
+    | Persistence -> (
+      match (applied, left, right, nested) with
+      | [], [ a ], [], [] -> persistent state a
+      | _ -> true)
 
   (* --- shrinking ----------------------------------------------------------- *)
 
@@ -272,6 +285,15 @@ module Make (E : Enum.S) = struct
               let s_on, d_on = run true and s_off, d_off = run false in
               Format.asprintf "compacted merge gives %s (digest %s) but raw merge gives %s (digest %s)"
                 (render_state s_on) d_on (render_state s_off) d_off))
+        | Persistence -> (
+          match cex.left with
+          | [ a ] ->
+            let s = Ref_copy.deep_copy cex.state in
+            let before = render_state s in
+            ignore (E.apply s a);
+            Format.asprintf "apply %s changed its input from %s to %s" (render_op a) before
+              (render_state s)
+          | _ -> "")
       with _ -> "")
 
   let render (cex : cex) : Report.counterexample =
@@ -287,7 +309,8 @@ module Make (E : Enum.S) = struct
         | Tp1 -> Printf.sprintf "a_wins=%b" cex.a_wins
         | Cross -> Format.asprintf "tie=%a" Side.pp_policy cex.tie
         | Merge_order | Merge_nested -> "tie=serialization (the runtime's merge policy)"
-        | Compact -> "compaction on vs off (merge tie=serialization; commutes under every tie)")
+        | Compact -> "compaction on vs off (merge tie=serialization; commutes under every tie)"
+        | Persistence -> "apply on the enumerated state")
     ; exn = cex.exn
     ; ops_total =
         List.length cex.applied + List.length cex.left + List.length cex.right
@@ -317,6 +340,17 @@ module Make (E : Enum.S) = struct
       | exception e -> raise (Counterexample (cex (Some (Printexc.to_string e))))
     in
     try
+      (* Persistence first: an apply that writes into its input would also
+         corrupt the enumerated states every later property reuses. *)
+      if want Persistence then
+        List.iter
+          (fun state ->
+            List.iter
+              (fun a ->
+                case ~property:Persistence ~state ~left:[ a ] ~right:[] (fun () ->
+                    counts.persistence <- counts.persistence + 1))
+              (E.ops state))
+          states;
       (* TP1: every op pair on every state, both tie winners. *)
       if want Tp1 then
       List.iter

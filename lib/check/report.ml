@@ -4,6 +4,7 @@ type property =
   | Merge_order
   | Merge_nested
   | Compact
+  | Persistence
 
 let property_name = function
   | Tp1 -> "TP1"
@@ -11,6 +12,7 @@ let property_name = function
   | Merge_order -> "merge-order"
   | Merge_nested -> "merge-nested"
   | Compact -> "compaction-equivalence"
+  | Persistence -> "persistence"
 
 let property_doc = function
   | Tp1 -> "apply(apply s a)(IT b a) = apply(apply s b)(IT a b) under both tie winners"
@@ -20,6 +22,7 @@ let property_doc = function
   | Compact ->
     "compact is apply-equivalent, merges identically (states and digests) with compaction on or \
      off, and commutes implies identity transforms both ways"
+  | Persistence -> "apply leaves its input unchanged (Marshal image before = after)"
 
 type counts =
   { mutable tp1 : int
@@ -27,10 +30,13 @@ type counts =
   ; mutable merge_order : int
   ; mutable merge_nested : int
   ; mutable compact : int
+  ; mutable persistence : int
   }
 
-let zero_counts () = { tp1 = 0; cross = 0; merge_order = 0; merge_nested = 0; compact = 0 }
-let total c = c.tp1 + c.cross + c.merge_order + c.merge_nested + c.compact
+let zero_counts () =
+  { tp1 = 0; cross = 0; merge_order = 0; merge_nested = 0; compact = 0; persistence = 0 }
+
+let total c = c.tp1 + c.cross + c.merge_order + c.merge_nested + c.compact + c.persistence
 
 type counterexample =
   { property : property
@@ -90,17 +96,18 @@ let pp_counterexample ppf c =
 let pp ppf t =
   match (t.verdict, t.expected) with
   | Pass, _ ->
-    Format.fprintf ppf "%-10s PASS  depth %d: %d cases (TP1 %d, cross %d, merge %d+%d, compact %d)"
+    Format.fprintf ppf
+      "%-10s PASS  depth %d: %d cases (TP1 %d, cross %d, merge %d+%d, compact %d, persist %d)"
       t.name t.depth (total t.counts) t.counts.tp1 t.counts.cross t.counts.merge_order
-      t.counts.merge_nested t.counts.compact
+      t.counts.merge_nested t.counts.compact t.counts.persistence
   | Fail c, Some reason ->
     (* counts here cover the properties still checked once the expected
        failure's property was skipped *)
     Format.fprintf ppf
-      "@[<v>%-10s XFAIL depth %d: %d cases elsewhere (TP1 %d, cross %d, merge %d+%d, compact %d) — \
-       documented: %s@,%a@]"
+      "@[<v>%-10s XFAIL depth %d: %d cases elsewhere (TP1 %d, cross %d, merge %d+%d, compact %d, \
+       persist %d) — documented: %s@,%a@]"
       t.name t.depth (total t.counts) t.counts.tp1 t.counts.cross t.counts.merge_order
-      t.counts.merge_nested t.counts.compact reason pp_counterexample c
+      t.counts.merge_nested t.counts.compact t.counts.persistence reason pp_counterexample c
   | Fail c, None ->
     Format.fprintf ppf "@[<v>%-10s FAIL  depth %d after %d cases@,%a@]" t.name t.depth
       (total t.counts) pp_counterexample c

@@ -19,6 +19,10 @@ type property =
           states and digests; and [commutes a b] implies [transform] is the
           identity in both directions under every tie policy (the contract
           the {!Sm_ot.Control.Make} fast paths rely on) *)
+  | Persistence
+      (** [apply] leaves its input unchanged ({!Ref_copy.image} before =
+          after) — the premise under which a workspace's aliased snapshot
+          is as private as the paper's deep copy *)
 
 val property_name : property -> string
 val property_doc : property -> string
@@ -29,6 +33,7 @@ type counts =
   ; mutable merge_order : int
   ; mutable merge_nested : int
   ; mutable compact : int
+  ; mutable persistence : int
   }
 
 val zero_counts : unit -> counts

@@ -126,7 +126,7 @@ let ready c = match c.state with Sync_waiting | Completed | Failed -> true | Run
 
 (* --- task creation -------------------------------------------------------- *)
 
-let make_child ?(obs_kind = E.Spawn) ?(copy_bytes = 0) parent ~ws ~base =
+let make_child ?(obs_kind = E.Spawn) parent ~ws ~base =
   let index = parent.child_counter in
   parent.child_counter <- index + 1;
   let child =
@@ -151,12 +151,8 @@ let make_child ?(obs_kind = E.Spawn) ?(copy_bytes = 0) parent ~ws ~base =
     Sanitizer_hook.emit (Sanitizer_hook.Task_started { task = child.name });
   if Obs.on Obs.Info then begin
     (* spawn-cost attribution rides at Debug: how many cells the share
-       touched, and how many bytes it deep-copied (0 under COW) *)
-    let cost_args =
-      if Obs.on Obs.Debug then
-        [ ("ws_cells", E.I (Ws.cell_count ws)); ("copy_bytes", E.I copy_bytes) ]
-      else []
-    in
+       aliased *)
+    let cost_args = if Obs.on Obs.Debug then [ ("ws_cells", E.I (Ws.cell_count ws)) ] else [] in
     Obs.emit
       (E.make ~task:parent.name ~task_id:parent.id
          ~args:(("child", E.S child.name) :: ("child_id", E.I child.id) :: cost_args)
@@ -512,25 +508,21 @@ let run_task child body =
   in
   finalize child outcome
 
-(* Share the workspace, timing the share and measuring what it deep-copied
-   (always 0 bytes under COW — the counter only advances in the
-   [Workspace.set_cow]-off baseline). *)
-let timed_copy ws =
+(* Share the workspace, timing the share. *)
+let share ws =
   if Obs.Metrics.is_enabled () then begin
-    let b0 = Obs.Metrics.value Ws.copy_bytes in
     let t0 = Obs.Clock.now_ns () in
     let copy = Ws.copy ws in
     Obs.Metrics.observe_ns h_ws_copy_ns ~since:t0;
-    (copy, Obs.Metrics.value Ws.copy_bytes - b0)
+    copy
   end
-  else (Ws.copy ws, 0)
+  else Ws.copy ws
 
 let spawn ctx body =
   Obs.Metrics.incr m_spawns;
   let child =
     with_lock ctx.rt (fun () ->
-        let ws, copy_bytes = timed_copy ctx.ws in
-        make_child ctx ~ws ~copy_bytes ~base:(Ws.snapshot ctx.ws))
+        make_child ctx ~ws:(share ctx.ws) ~base:(Ws.snapshot ctx.ws))
   in
   ctx.rt.sched.fork (fun () -> run_task child body);
   child
@@ -544,8 +536,7 @@ let clone ctx body =
       with_lock ctx.rt (fun () ->
           if not (Ws.is_pristine ctx.ws) then
             invalid_arg "Runtime.clone: cloning task has unmerged local operations";
-          let ws, copy_bytes = timed_copy ctx.ws in
-          make_child ~obs_kind:E.Clone ~copy_bytes parent ~ws ~base:ctx.base)
+          make_child ~obs_kind:E.Clone parent ~ws:(share ctx.ws) ~base:ctx.base)
     in
     ctx.rt.sched.fork (fun () -> run_task sibling body);
     sibling

@@ -37,8 +37,7 @@ module Counter = struct
   let state_codec = C.int
   let op_codec = C.map (fun (Sm_ot.Op_counter.Add n) -> n) (fun n -> Sm_ot.Op_counter.Add n) C.int
 
-  (* Counter journals are already minimal: the packed form is the classic
-     list form, so frame-version negotiation is a no-op for this type. *)
+  (* Counter journals are already minimal: a tagged op list. *)
   let journal_codec = C.list op_codec
 end
 
@@ -48,7 +47,7 @@ module Text = struct
   let type_name = "text"
 
   (* Snapshots ship the flattened bytes, so the wire image is independent of
-     the sender's representation and the receiver rebuilds in its own. *)
+     the sender's chunking and the receiver rebuilds its own. *)
   let state_codec = C.map Sm_ot.Op_text.to_string Sm_ot.Op_text.of_string C.string
 
   let op_codec =
@@ -73,13 +72,12 @@ module Text = struct
           Sm_ot.Op_text.Del (p, l)
         | t -> raise (C.Decode_error (Printf.sprintf "Text op: unknown tag %d" t)))
 
-  (* The packed journal, the payload of version-3 frames: a uvarint count,
+  (* The packed journal: a uvarint count,
      then per op one header [zigzag(pos - prev_pos) * 2 + kind] (kind 0 =
      Ins, 1 = Del) followed by the insert bytes (uvarint length-prefixed)
      or the uvarint delete length.  Positions are delta-encoded against the
      previous op's position — journals hammer on nearby offsets, so most
-     headers are one byte where the classic tagged form spends four or
-     more. *)
+     headers are one byte where a tagged op list spends four or more. *)
   let journal_codec =
     C.custom
       ~write:(fun buf ops ->

@@ -20,9 +20,9 @@ module Counter : Registry.CODABLE_DATA with type state = int and type op = Sm_ot
 
 module Text :
   Registry.CODABLE_DATA with type state = Sm_ot.Op_text.state and type op = Sm_ot.Op_text.op
-(** Text snapshots ship flattened bytes (representation-independent); the
-    {!Registry.CODABLE_DATA.journal_codec} is the packed binary form —
-    delta-encoded positions, varint-framed — that version-3 frames carry. *)
+(** Text snapshots ship flattened bytes (independent of the rope's
+    chunking); the {!Registry.CODABLE_DATA.journal_codec} is the packed
+    binary form — delta-encoded positions, varint-framed. *)
 
 module Make_list (Elt : CODABLE_ELT) : sig
   module Op : module type of Sm_ot.Op_list.Make (Elt)

@@ -57,8 +57,14 @@ type rtask
 (** A handle to a remote child task. *)
 
 exception Remote_failure of string
-(** Raised by merges when decoding a corrupt journal (protocol bug), never
-    for ordinary task failures — those are reported via {!failure}. *)
+(** Raised by merges when decoding a corrupt journal or a frame this build
+    does not accept (protocol bug or foreign build), never for ordinary
+    task failures — those are reported via {!failure}. *)
+
+val decode_up : string -> Wire.up
+(** Decode one upstream frame the way merges do.
+    @raise Remote_failure on a corrupt message, a malformed frame, or a
+    frame version other than {!Wire.Frame.version}. *)
 
 val run : cluster -> (ctx -> 'a) -> 'a
 (** Run a coordinator program.  Remaining remote tasks are merged to

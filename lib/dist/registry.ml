@@ -15,7 +15,6 @@ type ('s, 'o) rkey =
   { wire_id : int
   ; wkey : ('s, 'o) Ws.key
   ; state_codec : 's Sm_util.Codec.t
-  ; op_codec : 'o Sm_util.Codec.t
   ; journal_codec : 'o list Sm_util.Codec.t
   ; compact : 'o list -> 'o list
   }
@@ -43,7 +42,6 @@ let value (type s o) t ~name (module D : CODABLE_DATA with type state = s and ty
     { wire_id = List.length t.values
     ; wkey = Ws.create_key (module D) ~name
     ; state_codec = D.state_codec
-    ; op_codec = D.op_codec
     ; journal_codec = D.journal_codec
     ; compact = Ctl.compact
     }
@@ -98,20 +96,13 @@ let build_workspace t snapshot =
     snapshot;
   ws
 
-(* Which whole-journal codec a given frame version implies.  [Classic] is
-   the original [list op_codec] image — kept decodable forever so version
-   1/2 peers interoperate; [Packed] is the type's own [journal_codec]. *)
-let journal_codec_for rk = function
-  | Wire.Packed -> rk.journal_codec
-  | Wire.Classic -> Sm_util.Codec.list rk.op_codec
-
-let encode_journal ?(format = Wire.Packed) t ws =
+let encode_journal t ws =
   List.filter_map
     (fun (V rk) ->
       if Ws.mem ws rk.wkey then
         match Ws.journal ws rk.wkey with
         | [] -> None
-        | ops -> Some (rk.wire_id, Sm_util.Codec.encode (journal_codec_for rk format) ops)
+        | ops -> Some (rk.wire_id, Sm_util.Codec.encode rk.journal_codec ops)
       else None)
     (values_in_order t)
 
@@ -124,7 +115,7 @@ let revisions t ws =
     (fun (V rk) -> if Ws.mem ws rk.wkey then Some (rk.wire_id, Ws.version_of ws rk.wkey) else None)
     (values_in_order t)
 
-let encode_delta ?memo ?(format = Wire.Packed) t ws ~since =
+let encode_delta ?memo t ws ~since =
   List.filter_map
     (fun (V rk) ->
       if not (Ws.mem ws rk.wkey) then None
@@ -135,7 +126,7 @@ let encode_delta ?memo ?(format = Wire.Packed) t ws ~since =
         else
           let encode () =
             let ops = rk.compact (Ws.journal_since ws rk.wkey ~version:from_rev) in
-            Sm_util.Codec.encode (journal_codec_for rk format) ops
+            Sm_util.Codec.encode rk.journal_codec ops
           in
           let bytes =
             match memo with
@@ -158,7 +149,7 @@ let encode_delta ?memo ?(format = Wire.Packed) t ws ~since =
    (stop-and-wait sessions + per-session reply replay): a delta is either
    entirely stale ([to_rev <= cursor], a duplicate — skipped) or applies
    exactly at the cursor. *)
-let apply_delta ?(format = Wire.Packed) t ~into ~cursor entries =
+let apply_delta t ~into ~cursor entries =
   List.iter
     (fun (id, from_rev, to_rev, bytes) ->
       let cur = cursor id in
@@ -168,25 +159,25 @@ let apply_delta ?(format = Wire.Packed) t ~into ~cursor entries =
             (Printf.sprintf "Registry.apply_delta: gap for wire id %d (have rev %d, delta %d..%d)"
                id cur from_rev to_rev);
         let (V rk) = find_value t id in
-        let ops = Sm_util.Codec.decode (journal_codec_for rk format) bytes in
+        let ops = Sm_util.Codec.decode rk.journal_codec bytes in
         Sm_obs.Metrics.add applied_ops (List.length ops);
         List.iter (fun op -> Ws.update_trimming into rk.wkey op) ops
       end)
     entries
 
-let merge_edit ?(format = Wire.Packed) t ~into ~base_rev entries =
+let merge_edit t ~into ~base_rev entries =
   List.fold_left
     (fun acc (id, bytes) ->
       let (V rk) = find_value t id in
-      let ops = Sm_util.Codec.decode (journal_codec_for rk format) bytes in
+      let ops = Sm_util.Codec.decode rk.journal_codec bytes in
       Ws.merge_ops into rk.wkey ~ops ~base_version:(base_rev id);
       acc + List.length ops)
     0 entries
 
-let merge_journal ?(format = Wire.Packed) t ~into ~base entries =
+let merge_journal t ~into ~base entries =
   List.iter
     (fun (id, bytes) ->
       let (V rk) = find_value t id in
-      let ops = Sm_util.Codec.decode (journal_codec_for rk format) bytes in
+      let ops = Sm_util.Codec.decode rk.journal_codec bytes in
       Ws.merge_ops into rk.wkey ~ops ~base_version:(Ws.version_in base rk.wkey))
     entries

@@ -27,10 +27,10 @@ module type CODABLE_DATA = sig
   val op_codec : op Sm_util.Codec.t
 
   val journal_codec : op list Sm_util.Codec.t
-  (** The type's packed whole-journal encoding, carried by version-3
-      frames.  Types with no denser form than a tagged op list use
-      [Sm_util.Codec.list op_codec], making packed and classic wire images
-      coincide; {!Codable.Text} ships a varint/delta form that does not. *)
+  (** The type's whole-journal encoding, what every journal payload
+      carries.  Types with no denser form than a tagged op list use
+      [Sm_util.Codec.list op_codec]; {!Codable.Text} ships a packed
+      varint/delta form. *)
 end
 
 val create : unit -> t
@@ -83,23 +83,17 @@ val build_workspace : t -> (int * string) list -> Sm_mergeable.Workspace.t
 (** Reconstruct a workspace from an encoded snapshot.
     @raise Sm_util.Codec.Decode_error / [Invalid_argument] on unknown ids. *)
 
-val encode_journal : ?format:Wire.journal_format -> t -> Sm_mergeable.Workspace.t -> (int * string) list
-(** Encoded operation journal of every bound value with pending operations.
-    [format] (default [Packed]) selects the whole-journal codec; senders
-    must seal the result in a frame whose version implies the same format
-    (the default [Frame.seal] / [Packed] pairing is always consistent). *)
+val encode_journal : t -> Sm_mergeable.Workspace.t -> (int * string) list
+(** Encoded operation journal of every bound value with pending operations. *)
 
 val merge_journal :
-  ?format:Wire.journal_format ->
   t ->
   into:Sm_mergeable.Workspace.t ->
   base:Sm_mergeable.Workspace.Versions.t ->
   (int * string) list ->
   unit
 (** Decode a remote journal and OT-merge it into [into] against [base] —
-    the distributed counterpart of {!Sm_mergeable.Workspace.merge_child}.
-    [format] (default [Packed]) must be the journal format implied by the
-    frame the entries arrived in ({!Wire.journal_format_of_version}). *)
+    the distributed counterpart of {!Sm_mergeable.Workspace.merge_child}. *)
 
 (** {1 Delta sync (used by {!Sm_shard})}
 
@@ -113,7 +107,6 @@ val revisions : t -> Sm_mergeable.Workspace.t -> (int * int) list
 
 val encode_delta :
   ?memo:(int * int * int, string) Hashtbl.t ->
-  ?format:Wire.journal_format ->
   t ->
   Sm_mergeable.Workspace.t ->
   since:(int -> int) ->
@@ -126,14 +119,11 @@ val encode_delta :
     boundary, and the suffix only depends on the revision window, so the
     caller may share a table across replies and invalidate it when the
     workspace advances (keys embed [to_rev], so staleness is impossible —
-    the table is cleared only to bound its size).  A shared [memo] table
-    assumes a fixed [format] — the key does not embed it, and every
-    in-tree caller encodes [Packed].
+    the table is cleared only to bound its size).
     @raise Invalid_argument when [since] predates a truncation point — the
     caller must fall back to a snapshot. *)
 
 val apply_delta :
-  ?format:Wire.journal_format ->
   t ->
   into:Sm_mergeable.Workspace.t ->
   cursor:(int -> int) ->
@@ -146,7 +136,6 @@ val apply_delta :
     The caller advances its cursors to each applied entry's [to_rev]. *)
 
 val merge_edit :
-  ?format:Wire.journal_format ->
   t ->
   into:Sm_mergeable.Workspace.t ->
   base_rev:(int -> int) ->

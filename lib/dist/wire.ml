@@ -18,19 +18,13 @@ module Frame = struct
 
   let magic = "SM"
 
-  (* Version 1: magic, u16 version, kind byte, u32 payload length, payload.
-     Version 2 appends an optional trace context between header and
-     payload: a u8 context length then that many context bytes (the
-     {!Sm_obs.Trace_ctx.codec} encoding).  Version 3 keeps the version-2
-     byte layout (the u8 context length is always present, 0 when there is
-     no context) and changes only what the version number *means*: a
-     version-3 peer packs text journals with the binary journal codec,
-     while versions 1..2 carry classic tagged op lists.  [seal] therefore
-     always stamps the current version — the frame version is the
-     journal-format negotiation — and [open_] accepts 1..3 so pre-packed
-     peers interoperate. *)
+  (* Magic, u16 version, kind byte, u32 payload length, then a u8 context
+     length and that many context bytes (the {!Sm_obs.Trace_ctx.codec}
+     encoding; 0 and absent without a context), then the payload.  Journal
+     payloads use each type's packed journal codec.  Version 3 is the only
+     version this build speaks; any other is rejected as
+     [Unsupported_version]. *)
   let version = 3
-  let min_version = 1
 
   let kind_to_string = function Control -> "control" | Delta -> "delta" | Snapshot -> "snapshot"
   let kind_tag = function Control -> 0 | Delta -> 1 | Snapshot -> 2
@@ -45,40 +39,23 @@ module Frame = struct
 
   let ctx_bytes ctx = C.encode Sm_obs.Trace_ctx.codec ctx
 
-  (* [?version] exists for compatibility tests and simulated old peers; real
-     senders take the default.  A version-1 frame has no context slot, so
-     sealing one with [?ctx] is a caller error. *)
-  let seal ?version:(v = version) ?ctx kind payload =
-    if v < min_version || v > version then
-      invalid_arg (Printf.sprintf "Wire.Frame.seal: cannot emit version %d" v);
-    if v = 1 && ctx <> None then invalid_arg "Wire.Frame.seal: version-1 frames carry no context";
+  let seal ?ctx kind payload =
     let n = String.length payload in
     if n > 0xFFFF_FFFF then invalid_arg "Wire.Frame.seal: payload too large";
-    if v = 1 then begin
-      let b = Bytes.create (header_len + n) in
-      Bytes.blit_string magic 0 b 0 2;
-      Bytes.set_uint16_be b 2 1;
-      Bytes.set_uint8 b 4 (kind_tag kind);
-      Bytes.set_int32_be b 5 (Int32.of_int n);
-      Bytes.blit_string payload 0 b header_len n;
-      Bytes.unsafe_to_string b
-    end
-    else begin
-      let cb = match ctx with None -> "" | Some ctx -> ctx_bytes ctx in
-      let cn = String.length cb in
-      if cn > 0xFF then invalid_arg "Wire.Frame.seal: context too large";
-      let b = Bytes.create (header_len + 1 + cn + n) in
-      Bytes.blit_string magic 0 b 0 2;
-      Bytes.set_uint16_be b 2 v;
-      Bytes.set_uint8 b 4 (kind_tag kind);
-      Bytes.set_int32_be b 5 (Int32.of_int n);
-      Bytes.set_uint8 b header_len cn;
-      Bytes.blit_string cb 0 b (header_len + 1) cn;
-      Bytes.blit_string payload 0 b (header_len + 1 + cn) n;
-      Bytes.unsafe_to_string b
-    end
+    let cb = match ctx with None -> "" | Some ctx -> ctx_bytes ctx in
+    let cn = String.length cb in
+    if cn > 0xFF then invalid_arg "Wire.Frame.seal: context too large";
+    let b = Bytes.create (header_len + 1 + cn + n) in
+    Bytes.blit_string magic 0 b 0 2;
+    Bytes.set_uint16_be b 2 version;
+    Bytes.set_uint8 b 4 (kind_tag kind);
+    Bytes.set_int32_be b 5 (Int32.of_int n);
+    Bytes.set_uint8 b header_len cn;
+    Bytes.blit_string cb 0 b (header_len + 1) cn;
+    Bytes.blit_string payload 0 b (header_len + 1 + cn) n;
+    Bytes.unsafe_to_string b
 
-  let open_v frame =
+  let open_rich frame =
     let len = String.length frame in
     if len < header_len then
       raise (Bad_frame (Printf.sprintf "short frame: %d bytes (< %d-byte header)" len header_len));
@@ -87,55 +64,31 @@ module Frame = struct
         (Bad_frame
            (Printf.sprintf "bad magic %S: not a Spawn/Merge frame" (String.sub frame 0 2)));
     let v = String.get_uint16_be frame 2 in
-    if v < min_version || v > version then raise (Unsupported_version { got = v; speaks = version });
+    if v <> version then raise (Unsupported_version { got = v; speaks = version });
     let kind = kind_of_tag (String.get_uint8 frame 4) in
     let n = Int32.to_int (String.get_int32_be frame 5) land 0xFFFF_FFFF in
-    if v = min_version then begin
-      if len - header_len <> n then
-        raise
-          (Bad_frame
-             (Printf.sprintf "frame length mismatch: header says %d payload bytes, got %d" n
-                (len - header_len)));
-      (v, kind, None, String.sub frame header_len n)
-    end
-    else begin
-      if len < header_len + 1 then
-        raise (Bad_frame (Printf.sprintf "version-%d frame truncated before context" v));
-      let cn = String.get_uint8 frame header_len in
-      if len - header_len - 1 - cn <> n then
-        raise
-          (Bad_frame
-             (Printf.sprintf "frame length mismatch: header says %d payload bytes, got %d" n
-                (len - header_len - 1 - cn)));
-      let ctx =
-        if cn = 0 then None
-        else
-          match C.decode Sm_obs.Trace_ctx.codec (String.sub frame (header_len + 1) cn) with
-          | ctx -> Some ctx
-          | exception C.Decode_error msg ->
-            raise (Bad_frame (Printf.sprintf "bad frame context: %s" msg))
-      in
-      (v, kind, ctx, String.sub frame (header_len + 1 + cn) n)
-    end
-
-  let open_rich frame =
-    let _v, kind, ctx, payload = open_v frame in
-    (kind, ctx, payload)
+    if len < header_len + 1 then
+      raise (Bad_frame (Printf.sprintf "version-%d frame truncated before context" v));
+    let cn = String.get_uint8 frame header_len in
+    if len - header_len - 1 - cn <> n then
+      raise
+        (Bad_frame
+           (Printf.sprintf "frame length mismatch: header says %d payload bytes, got %d" n
+              (len - header_len - 1 - cn)));
+    let ctx =
+      if cn = 0 then None
+      else
+        match C.decode Sm_obs.Trace_ctx.codec (String.sub frame (header_len + 1) cn) with
+        | ctx -> Some ctx
+        | exception C.Decode_error msg ->
+          raise (Bad_frame (Printf.sprintf "bad frame context: %s" msg))
+    in
+    (kind, ctx, String.sub frame (header_len + 1 + cn) n)
 
   let open_ frame =
     let kind, _ctx, payload = open_rich frame in
     (kind, payload)
 end
-
-(* --- journal-format negotiation ---------------------------------------------- *)
-
-type journal_format =
-  | Classic  (** tagged op lists — what version-1/2 frames carry *)
-  | Packed  (** binary journals (varint-framed, delta positions) — version 3+ *)
-
-let journal_format_of_version v = if v >= 3 then Packed else Classic
-
-let journal_format_to_string = function Classic -> "classic" | Packed -> "packed"
 
 let seal_control ?ctx payload = Frame.seal ?ctx Frame.Control payload
 
@@ -154,10 +107,6 @@ let open_control frame =
 let open_control_rich frame =
   let kind, ctx, payload = Frame.open_rich frame in
   (ctx, control_payload kind payload)
-
-let open_control_v frame =
-  let v, kind, _ctx, payload = Frame.open_v frame in
-  (journal_format_of_version v, control_payload kind payload)
 
 type entries = (int * string) list
 

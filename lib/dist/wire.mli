@@ -19,9 +19,9 @@ module Frame : sig
       { got : int
       ; speaks : int
       }
-  (** The frame's version is outside [[min_version, version]] — a peer
-      from an incompatible build.  Typed separately from {!Bad_frame} so
-      callers can distinguish "corrupt bytes" from "wrong build". *)
+  (** The frame's version is not {!version} — a peer from an incompatible
+      build.  Typed separately from {!Bad_frame} so callers can distinguish
+      "corrupt bytes" from "wrong build". *)
 
   type kind =
     | Control  (** coordinator/node protocol messages ({!down}/{!up}) *)
@@ -29,53 +29,26 @@ module Frame : sig
     | Snapshot  (** full encoded states (shard fallback sync) *)
 
   val version : int
-  (** The newest frame version this build speaks (u16 on the wire).
-      Version 2 added the optional trace context; version 3 keeps the
-      version-2 byte layout and signals that journal payloads use the
-      packed binary codecs (see {!journal_format_of_version}). *)
-
-  val min_version : int
-  (** The oldest version still accepted: version-1 and version-2 frames
-      decode forever. *)
+  (** The one frame version this build speaks and accepts (3, a u16 on the
+      wire).  Journal payloads use each type's packed journal codec
+      ({!Registry.CODABLE_DATA.journal_codec}). *)
 
   val kind_to_string : kind -> string
 
-  val seal : ?version:int -> ?ctx:Sm_obs.Trace_ctx.t -> kind -> string -> string
-  (** Prefix [payload] with the header: magic ["SM"], u16 version, kind
-      byte, u32 payload length, then (version >= 2) a u8 context length and
-      the encoded context bytes — 0 and absent without [?ctx].  The default
-      [?version] is {!version}: new builds always stamp the current version
-      because the version number doubles as the journal-format negotiation.
-      Passing an explicit older [?version] emits that version's byte layout
-      — for compatibility tests and simulated old peers.
-      @raise Invalid_argument on a version outside the speakable range, or
-      on [~version:1] with a context (version 1 has no context slot). *)
+  val seal : ?ctx:Sm_obs.Trace_ctx.t -> kind -> string -> string
+  (** Prefix [payload] with the header: magic ["SM"], u16 {!version}, kind
+      byte, u32 payload length, then a u8 context length and the encoded
+      context bytes — 0 and absent without [?ctx].
+      @raise Invalid_argument on an oversized payload or context. *)
 
   val open_ : string -> kind * string
-  (** Strip and validate the header, accepting versions 1 through
-      {!version} (any context is dropped).
+  (** Strip and validate the header (any context is dropped).
       @raise Bad_frame as described above.
-      @raise Unsupported_version on a version outside the accepted range. *)
+      @raise Unsupported_version on any version other than {!version}. *)
 
   val open_rich : string -> kind * Sm_obs.Trace_ctx.t option * string
   (** {!open_}, but surface the trace context when the frame carries one. *)
-
-  val open_v : string -> int * kind * Sm_obs.Trace_ctx.t option * string
-  (** {!open_rich}, but also surface the frame version — the receiver needs
-      it to pick the journal decoder. *)
 end
-
-type journal_format =
-  | Classic  (** tagged op lists — what version-1/2 frames carry *)
-  | Packed  (** binary journals (varint-framed, delta positions) — version 3+ *)
-
-val journal_format_of_version : int -> journal_format
-(** The journal encoding implied by a frame version: [Packed] for 3+,
-    [Classic] below.  Decoders pick the codec from the {e sender's} frame
-    version; encoders always speak [Packed] (they seal current-version
-    frames). *)
-
-val journal_format_to_string : journal_format -> string
 
 val seal_control : ?ctx:Sm_obs.Trace_ctx.t -> string -> string
 (** [Frame.seal Control] — the coordinator/node link carries only control
@@ -84,14 +57,10 @@ val seal_control : ?ctx:Sm_obs.Trace_ctx.t -> string -> string
 val open_control : string -> string
 (** Unwrap a frame that must be {!Frame.Control}.
     @raise Frame.Bad_frame on malformed frames or any other kind.
-    @raise Frame.Unsupported_version on a version outside the accepted range. *)
+    @raise Frame.Unsupported_version on any version other than {!Frame.version}. *)
 
 val open_control_rich : string -> Sm_obs.Trace_ctx.t option * string
 (** {!open_control}, surfacing the trace context. *)
-
-val open_control_v : string -> journal_format * string
-(** {!open_control}, surfacing the sender's journal format — what the
-    coordinator uses to decode journals from mixed-version nodes. *)
 
 type entries = (int * string) list
 

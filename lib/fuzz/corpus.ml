@@ -2,7 +2,7 @@ type entry =
   { name : string
   ; seed : int64
   ; depth : int
-  ; profile : Program.profile
+  ; profile : Sm_ir.Program.profile
   ; mutate : Sm_check.Mutate.kind option
   ; expect : string option
   }
@@ -16,42 +16,42 @@ let all =
   [ { name = "clean-det"
     ; seed = 0x1L
     ; depth = 3
-    ; profile = Program.det_profile
+    ; profile = Sm_ir.Program.det_profile
     ; mutate = None
     ; expect = None
     }
   ; { name = "clean-full"
     ; seed = 0x2L
     ; depth = 3
-    ; profile = Program.full_profile
+    ; profile = Sm_ir.Program.full_profile
     ; mutate = None
     ; expect = None
     }
   ; { name = "catches-tie-bias"
     ; seed = mutation_seed
     ; depth = 3
-    ; profile = Program.det_profile
+    ; profile = Sm_ir.Program.det_profile
     ; mutate = Some Sm_check.Mutate.Tie_bias
     ; expect = Some "differential"
     }
   ; { name = "catches-identity"
     ; seed = mutation_seed
     ; depth = 3
-    ; profile = Program.det_profile
+    ; profile = Sm_ir.Program.det_profile
     ; mutate = Some Sm_check.Mutate.Identity
     ; expect = Some "differential"
     }
   ; { name = "catches-drop-last"
     ; seed = mutation_seed
     ; depth = 3
-    ; profile = Program.det_profile
+    ; profile = Sm_ir.Program.det_profile
     ; mutate = Some Sm_check.Mutate.Drop_last
     ; expect = Some "differential"
     }
   ; { name = "catches-reverse"
     ; seed = mutation_seed
     ; depth = 3
-    ; profile = Program.det_profile
+    ; profile = Sm_ir.Program.det_profile
     ; mutate = Some Sm_check.Mutate.Reverse
     ; expect = Some "differential"
     }

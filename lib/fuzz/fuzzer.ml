@@ -3,11 +3,11 @@ module Rng = Sm_util.Det_rng
 type report =
   { seed : int64
   ; depth : int
-  ; profile : Program.profile
+  ; profile : Sm_ir.Program.profile
   ; mutate : Sm_check.Mutate.kind option
   ; failure : Oracle.failure
-  ; program : Program.t
-  ; shrunk : Program.t
+  ; program : Sm_ir.Program.t
+  ; shrunk : Sm_ir.Program.t
   ; shrink_steps : int
   ; lint : string option
   }
@@ -17,7 +17,7 @@ type outcome =
   | Failed of report
 
 let program_of_seed ~seed ~depth ~profile =
-  Program.generate (Rng.create ~seed) ~depth ~profile
+  Sm_ir.Program.generate (Rng.create ~seed) ~depth ~profile
 
 let fuzz_one ?mutate ?runs ?(lint = false) env ~seed ~depth ~profile () =
   let program = program_of_seed ~seed ~depth ~profile in
@@ -30,17 +30,17 @@ let fuzz_one ?mutate ?runs ?(lint = false) env ~seed ~depth ~profile () =
        minimized program witnesses the original bug, not a new one. *)
     let fails scripts =
       match
-        Oracle.check ~focus ?mutate ~runs:2 env { Program.scripts = Array.of_list scripts }
+        Oracle.check ~focus ?mutate ~runs:2 env { Sm_ir.Program.scripts = Array.of_list scripts }
       with
       | Error f -> f.Oracle.oracle = focus
       | Ok () -> false
       | exception _ -> false
     in
     let shrunk, shrink_steps =
-      Sm_check.Shrink.minimize ~fails ~shrink_elt:Program.shrink_step
-        (Array.to_list program.Program.scripts)
+      Sm_check.Shrink.minimize ~fails ~shrink_elt:Sm_ir.Program.shrink_step
+        (Array.to_list program.Sm_ir.Program.scripts)
     in
-    let shrunk = { Program.scripts = Array.of_list shrunk } in
+    let shrunk = { Sm_ir.Program.scripts = Array.of_list shrunk } in
     (* The static pre-pass verdict rides along in the report: a dynamic
        failure on a program sm-lint already flags (any-merge taint, pinned
        merge-order) triages very differently from one on a clean program. *)
@@ -55,19 +55,19 @@ let pp_report ppf r =
   Format.fprintf ppf "sm-fuzz failure report v1@.";
   Format.fprintf ppf "seed: 0x%Lx@." r.seed;
   Format.fprintf ppf "depth: %d@." r.depth;
-  Format.fprintf ppf "profile: %s@." (Program.profile_to_string r.profile);
+  Format.fprintf ppf "profile: %s@." (Sm_ir.Program.profile_to_string r.profile);
   Format.fprintf ppf "mutate: %s@." (mutate_name r.mutate);
   Format.fprintf ppf "oracle: %s@." r.failure.Oracle.oracle;
   Format.fprintf ppf "detail: %s@." r.failure.Oracle.detail;
-  Format.fprintf ppf "steps: %d -> %d (%d shrink moves)@." (Program.size r.program)
-    (Program.size r.shrunk) r.shrink_steps;
+  Format.fprintf ppf "steps: %d -> %d (%d shrink moves)@." (Sm_ir.Program.size r.program)
+    (Sm_ir.Program.size r.shrunk) r.shrink_steps;
   (match r.lint with
   | None -> ()
   | Some s ->
     Format.fprintf ppf "-- static analysis --@.";
     Format.fprintf ppf "sm-lint: %s@." s);
   Format.fprintf ppf "-- shrunk program --@.";
-  Program.pp ppf r.shrunk
+  Sm_ir.Program.pp ppf r.shrunk
 
 let report_to_string r = Format.asprintf "%a" pp_report r
 

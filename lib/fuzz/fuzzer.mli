@@ -10,11 +10,11 @@
 type report =
   { seed : int64
   ; depth : int
-  ; profile : Program.profile
+  ; profile : Sm_ir.Program.profile
   ; mutate : Sm_check.Mutate.kind option
   ; failure : Oracle.failure  (** the original program's first failure *)
-  ; program : Program.t  (** as generated *)
-  ; shrunk : Program.t  (** minimized, still failing [failure.oracle] *)
+  ; program : Sm_ir.Program.t  (** as generated *)
+  ; shrunk : Sm_ir.Program.t  (** minimized, still failing [failure.oracle] *)
   ; shrink_steps : int  (** accepted shrink moves *)
   ; lint : string option
     (** {!Sm_lint.Lint.summary} of the shrunk program when the run was
@@ -27,9 +27,9 @@ type outcome =
   | Passed
   | Failed of report
 
-val program_of_seed : seed:int64 -> depth:int -> profile:Program.profile -> Program.t
+val program_of_seed : seed:int64 -> depth:int -> profile:Sm_ir.Program.profile -> Sm_ir.Program.t
 (** The program seed [seed] denotes: a fresh {!Sm_util.Det_rng} fed to
-    {!Program.generate}. *)
+    {!Sm_ir.Program.generate}. *)
 
 val fuzz_one :
   ?mutate:Sm_check.Mutate.kind ->
@@ -38,7 +38,7 @@ val fuzz_one :
   Oracle.env ->
   seed:int64 ->
   depth:int ->
-  profile:Program.profile ->
+  profile:Sm_ir.Program.profile ->
   unit ->
   outcome
 (** Generate, check every oracle, and on failure shrink with
@@ -49,7 +49,7 @@ val fuzz_one :
 val report_to_string : report -> string
 (** The canonical replay artifact: a deterministic text header
     (seed/depth/profile/mutate/oracle/detail/sizes) followed by the shrunk
-    program in {!Program.to_string} form. *)
+    program in {!Sm_ir.Program.to_string} form. *)
 
 val pp_report : Format.formatter -> report -> unit
 
@@ -67,7 +67,7 @@ val run_seeds :
   seed_base:int64 ->
   seeds:int ->
   depth:int ->
-  profile:Program.profile ->
+  profile:Sm_ir.Program.profile ->
   unit ->
   summary
 (** Fuzz seeds [seed_base .. seed_base + seeds - 1] sequentially (the

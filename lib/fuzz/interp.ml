@@ -1,6 +1,6 @@
 module Rt = Sm_core.Runtime
 module Ws = Sm_mergeable.Workspace
-module P = Program
+module P = Sm_ir.Program
 
 module Int_elt = struct
   type t = int
@@ -38,17 +38,23 @@ module Keyset = struct
     ; tree : Stree.handle
     }
 
-  let wrap : type s o.
-      Sm_check.Mutate.kind option ->
-      (module Sm_mergeable.Data.S with type state = s and type op = o) ->
-      (module Sm_mergeable.Data.S with type state = s and type op = o) =
-   fun mutate data -> match mutate with None -> data | Some k -> Sm_check.Mutate.wrap_data k data
+  type wrap =
+    { wrap :
+        's 'o.
+        (module Sm_mergeable.Data.S with type state = 's and type op = 'o) ->
+        (module Sm_mergeable.Data.S with type state = 's and type op = 'o)
+    }
 
-  let make ?mutate () =
-    let key data name = Ws.create_key (wrap mutate data) ~name in
+  type text =
+    (module Sm_mergeable.Data.S
+       with type state = Sm_ot.Op_text.state
+        and type op = Sm_ot.Op_text.op)
+
+  let make ?(wrap = { wrap = Fun.id }) ?(text : text = (module Sm_mergeable.Mtext.Data)) () =
+    let key data name = Ws.create_key (wrap.wrap data) ~name in
     { counter = key (module Sm_mergeable.Mcounter.Data) "fuzz.counter"
     ; register = key (module Sreg.Data) "fuzz.register"
-    ; text = key (module Sm_mergeable.Mtext.Data) "fuzz.text"
+    ; text = key text "fuzz.text"
     ; list = key (module Ilist.Data) "fuzz.list"
     ; set = key (module Iset.Data) "fuzz.set"
     ; map = key (module Imap.Data) "fuzz.map"
@@ -65,9 +71,17 @@ module Keyset = struct
     match Hashtbl.find_opt mutated_keys kind with
     | Some t -> t
     | None ->
-      let t = make ~mutate:kind () in
+      let t = make ~wrap:{ wrap = (fun d -> Sm_check.Mutate.wrap_data kind d) } () in
       Hashtbl.add mutated_keys kind t;
       t
+
+  let detached_wrap = { wrap = Sm_check.Ref_copy.detached }
+  let detached_keys = lazy (make ~wrap:detached_wrap ())
+  let detached () = Lazy.force detached_keys
+  let flat_checked_keys =
+    lazy (make ~text:(Sm_check.Ref_text.checked (module Sm_mergeable.Mtext.Data)) ())
+
+  let flat_checked () = Lazy.force flat_checked_keys
 
   let counter_value ws t = Sm_mergeable.Mcounter.get ws t.counter
   let queue_value ws t = Iqueue.get ws t.queue

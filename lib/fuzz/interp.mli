@@ -1,4 +1,4 @@
-(** The fuzz-program interpreter: runs a {!Program.t} against the real
+(** The fuzz-program interpreter: runs a {!Sm_ir.Program.t} against the real
     Spawn/Merge runtime.
 
     Interpretation is {e total} and, for programs without any-merges,
@@ -17,12 +17,43 @@
 module Keyset : sig
   type t
 
+  type wrap =
+    { wrap :
+        's 'o.
+        (module Sm_mergeable.Data.S with type state = 's and type op = 'o) ->
+        (module Sm_mergeable.Data.S with type state = 's and type op = 'o)
+    }
+  (** A transformation applied to each of the nine [Data] modules. *)
+
+  type text =
+    (module Sm_mergeable.Data.S
+       with type state = Sm_ot.Op_text.state
+        and type op = Sm_ot.Op_text.op)
+
+  val make : ?wrap:wrap -> ?text:text -> unit -> t
+  (** Mint a fresh keyset: [text] (default {!Sm_mergeable.Mtext.Data})
+      replaces the text module, then [wrap] (default identity) is applied
+      to all nine.  Mint once, outside any run. *)
+
   val default : unit -> t
   (** The clean keyset (memoized). *)
 
   val mutated : Sm_check.Mutate.kind -> t
   (** A keyset whose nine [Data] modules carry the mutated transform
       (memoized per kind). *)
+
+  val detached_wrap : wrap
+  (** {!Sm_check.Ref_copy.detached}: every apply checked against the
+      deep-copy model. *)
+
+  val detached : unit -> t
+  (** [make ~wrap:detached_wrap ()] (memoized) — the [cow] oracle's
+      keyset. *)
+
+  val flat_checked : unit -> t
+  (** The text module wrapped by {!Sm_check.Ref_text.checked}, every text
+      apply replayed on the flat-string model (memoized) — the [rope]
+      oracle's keyset. *)
 
   val counter_value : Sm_mergeable.Workspace.t -> t -> int
   (** The fuzz counter's current value — what generated [?validate]
@@ -37,7 +68,7 @@ end
 val init : Keyset.t -> Sm_mergeable.Workspace.t -> unit
 (** Bind all nine keys to canonical initial states (root task only). *)
 
-val run : ?task_budget:int -> Keyset.t -> Program.t -> Sm_core.Runtime.ctx -> unit
+val run : ?task_budget:int -> Keyset.t -> Sm_ir.Program.t -> Sm_core.Runtime.ctx -> unit
 (** Initialize the workspace and execute script 0 as the given task.
     [task_budget] (default 256) is a hard cap on spawned+cloned tasks — a
     backstop for hand-written [--program] inputs; generator output stays far

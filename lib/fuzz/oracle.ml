@@ -70,7 +70,7 @@ let differential_oracle prog baseline = function
     | _ -> Ok ())
 
 let determinism_oracle env keys prog baseline ~runs =
-  if Program.uses_any_merge prog then Ok ()
+  if Sm_ir.Program.uses_any_merge prog then Ok ()
   else begin
     let threaded executor =
       Sm_core.Detcheck.digest_of_run ~executor (Interp.run keys prog)
@@ -99,51 +99,25 @@ let compaction_oracle keys prog baseline =
     fail "compaction" "compaction-off digest %s <> on %s" (short d) (short baseline)
   else Ok ()
 
-(* Differential over the workspace representation: the copy-on-write sharing
-   (default) and the paper's literal deep-copy-per-spawn baseline must be
-   observationally identical — same final states, hence byte-identical
-   digests.  Mirrors [compaction_oracle]'s flag save/flip/restore. *)
-let cow_oracle keys prog baseline =
-  let was = Ws.cow_enabled () in
-  let d =
-    Fun.protect
-      ~finally:(fun () -> Ws.set_cow was)
-      (fun () ->
-        Ws.set_cow (not was);
-        coop_digest keys prog)
-  in
-  if d <> baseline then
-    fail "cow" "cow-%s digest %s <> cow-%s %s"
-      (if was then "off" else "on")
-      (short d)
-      (if was then "on" else "off")
-      (short baseline)
-  else Ok ()
+(* A reference-model run must reproduce the clean digest: any exception
+   (the models raise on a divergence) or digest difference is a failure. *)
+let reference_oracle name keys prog baseline =
+  match coop_digest keys prog with
+  | exception exn -> fail name "reference-model run raised %s" (Printexc.to_string exn)
+  | d when d <> baseline ->
+    fail name "reference-model digest %s <> clean %s" (short d) (short baseline)
+  | _ -> Ok ()
 
-(* Differential over the text representation: the chunked rope (default)
-   and the flat-string baseline must be observationally identical — digests
-   render states through the same escaped form, so a mismatch is a rope
-   apply/transform/print divergence.  Same flag flip-and-restore shape as
-   [cow_oracle]. *)
-let rope_oracle keys prog baseline =
-  let was = Sm_ot.Op_text.rope_enabled () in
-  let d =
-    Fun.protect
-      ~finally:(fun () -> Sm_ot.Op_text.set_rope was)
-      (fun () ->
-        Sm_ot.Op_text.set_rope (not was);
-        coop_digest keys prog)
-  in
-  if d <> baseline then
-    fail "rope" "rope-%s digest %s <> rope-%s %s"
-      (if was then "off" else "on")
-      (short d)
-      (if was then "on" else "off")
-      (short baseline)
-  else Ok ()
+(* Copy-on-write aliasing equals the paper's deep copy exactly when no apply
+   mutates its input: every apply runs under Ref_copy.detached. *)
+let cow ~detached prog ~baseline = reference_oracle "cow" detached prog baseline
+
+(* The rope must agree with the flat-string model on every text apply:
+   Ref_text.checked replays each one on the flattened input. *)
+let rope ~checked prog ~baseline = reference_oracle "rope" checked prog baseline
 
 let detsan_oracle env keys prog =
-  if Program.uses_any_merge prog then Ok ()
+  if Sm_ir.Program.uses_any_merge prog then Ok ()
   else begin
     let hazards, _digest = Sm_check.Detsan.run ~executor:env.exec2 (Interp.run keys prog) in
     match hazards with
@@ -172,7 +146,7 @@ let trace_oracle keys prog =
   | Obs.Trace_diff.Diverged _ as r -> fail "trace" "%a" Obs.Trace_diff.pp_result r
 
 let replay_oracle env keys prog =
-  if not (Program.uses_any_merge prog) || Program.uses_clone prog then Ok ()
+  if not (Sm_ir.Program.uses_any_merge prog) || Sm_ir.Program.uses_clone prog then Ok ()
   else begin
     let trace = Rt.Trace.create () in
     let recorded =
@@ -201,8 +175,8 @@ let check ?focus ?(runs = 3) ?mutate env prog =
     ; ("differential", fun () -> differential_oracle prog base mutate)
     ; ("determinism", fun () -> determinism_oracle env keys prog base ~runs)
     ; ("compaction", fun () -> compaction_oracle keys prog base)
-    ; ("cow", fun () -> cow_oracle keys prog base)
-    ; ("rope", fun () -> rope_oracle keys prog base)
+    ; ("cow", fun () -> cow ~detached:(Interp.Keyset.detached ()) prog ~baseline:base)
+    ; ("rope", fun () -> rope ~checked:(Interp.Keyset.flat_checked ()) prog ~baseline:base)
     ; ("detsan", fun () -> detsan_oracle env keys prog)
     ; ("trace", fun () -> trace_oracle keys prog)
     ; ("replay", fun () -> replay_oracle env keys prog)

@@ -1,6 +1,6 @@
 (** The fuzzer's correctness oracles.
 
-    Given a {!Program.t}, {!check} runs every applicable oracle and returns
+    Given a {!Sm_ir.Program.t}, {!check} runs every applicable oracle and returns
     the first failure.  The cooperative scheduler's digest is the reference
     — [Coop] is deterministic even for any-merges, so every program has a
     canonical outcome — and the other oracles compare against it:
@@ -17,16 +17,15 @@
       ({!Sm_core.Detcheck} with shared executors).
     - ["compaction"]: the digest is invariant under
       {!Sm_mergeable.Workspace.set_compaction} off.
-    - ["cow"]: the digest is invariant under flipping
-      {!Sm_mergeable.Workspace.set_cow} — copy-on-write sharing and the
-      paper's literal deep-copy-per-spawn baseline are observationally
-      identical.  (Run with [SM_COW=0] this checks the other direction:
-      baseline process, COW run inside the oracle.)
-    - ["rope"]: the digest is invariant under flipping
-      {!Sm_ot.Op_text.set_rope} — the chunked-rope text backend and the
-      flat-string baseline are observationally identical.  (Run with
-      [SM_ROPE=0] this checks the other direction: flat process, rope run
-      inside the oracle.)
+    - ["cow"]: the run over {!Interp.Keyset.detached} — every apply checked
+      by {!Sm_check.Ref_copy.detached} to leave its input unchanged and to
+      agree with the same apply on a deep copy — raises nothing and digests
+      identically.  Copy-on-write aliasing equals the paper's
+      deep-copy-per-spawn model exactly under that premise.
+    - ["rope"]: the run over {!Interp.Keyset.flat_checked} — every text
+      apply replayed on the flat-string model by
+      {!Sm_check.Ref_text.checked} — raises nothing and digests
+      identically.
     - ["detsan"]: deterministic programs run {!Sm_check.Detsan}-clean — the
       interpreter's merge epilogue and module-level keys make any hazard a
       real bug.
@@ -57,16 +56,23 @@ val threaded_executor : env -> Sm_core.Executor.t
 (** The shared 2-domain executor — what {!Agree} hands to
     {!Sm_check.Detsan.run} so the harness reuses this env's domains. *)
 
-val coop_digest : Interp.Keyset.t -> Program.t -> string
+val coop_digest : Interp.Keyset.t -> Sm_ir.Program.t -> string
 (** One cooperative reference run's workspace digest — also the metered run
     the {!Agree} cost check observes [ot.transform_calls] around. *)
+
+val cow : detached:Interp.Keyset.t -> Sm_ir.Program.t -> baseline:string -> (unit, failure) result
+(** The ["cow"] oracle over a given detached keyset: the run must not raise
+    and must digest to [baseline] (the clean keyset's {!coop_digest}). *)
+
+val rope : checked:Interp.Keyset.t -> Sm_ir.Program.t -> baseline:string -> (unit, failure) result
+(** The ["rope"] oracle over a given flat-checked keyset, same contract. *)
 
 val check :
   ?focus:string ->
   ?runs:int ->
   ?mutate:Sm_check.Mutate.kind ->
   env ->
-  Program.t ->
+  Sm_ir.Program.t ->
   (unit, failure) result
 (** Run the applicable oracles in {!oracle_names} order and stop at the
     first failure.  [focus] restricts to the oracle of that name — what the

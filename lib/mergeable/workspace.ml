@@ -25,8 +25,8 @@ end
    counts cells whose state pointer diverged from a base snapshot shared at
    spawn/clone/rebase (the "copy on first write" event — with persistent
    states the "copy" is the O(1) pointer swap the apply performs, never a
-   byte copy); [ws.copy_bytes] counts the bytes the deep-copy baseline
-   ({!set_cow} off) materializes at share points, and stays 0 under COW. *)
+   byte copy).  [ws.copy_bytes] is kept as an exported counter for
+   dashboards that read it; share points never copy, so it stays 0. *)
 let cow_hits = Sm_obs.Metrics.counter "ws.cow_hits"
 let copy_bytes = Sm_obs.Metrics.counter "ws.copy_bytes"
 
@@ -107,22 +107,6 @@ end
 let compaction = Atomic.make true
 let set_compaction on = Atomic.set compaction on
 let compaction_enabled () = Atomic.get compaction
-
-(* Copy-on-write sharing at spawn/clone/rebase.  Default on: children alias
-   the parent's (persistent) state snapshots, so sharing a workspace is
-   O(cells) regardless of state size.  Off is the paper's literal model —
-   every share point materializes a structural deep copy per cell
-   ([Data.S.copy_state], metered in [ws.copy_bytes]) — kept as a switchable
-   baseline so the representations stay differentially comparable: states,
-   journals and digests must be identical either way.  [SM_COW=0] in the
-   environment selects the baseline for a whole process (the legacy-mode CI
-   job). *)
-let cow =
-  Atomic.make
-    (match Sys.getenv_opt "SM_COW" with Some ("0" | "off" | "false") -> false | _ -> true)
-
-let set_cow on = Atomic.set cow on
-let cow_enabled () = Atomic.get cow
 
 let create () = { uid = Atomic.fetch_and_add next_ws_uid 1; cells = Imap.empty }
 
@@ -231,79 +215,48 @@ let snapshot t = Imap.map (fun (P (_, c)) -> cell_version c) t.cells
 let op_count t =
   Imap.fold (fun _ (P (_, c)) acc -> acc + Sm_util.Vec.length c.journal) t.cells 0
 
-(* The state a share point hands out: materialized, and either aliased
-   (COW, the default — mark both sides shared so the first write on either
-   is visible as a cow hit) or deep-copied per the paper's baseline, with
-   the copied bytes metered. *)
-let share_state (type s o) (k : (s, o) key) (c : (s, o) cell) : s =
-  let module D = (val k.data) in
-  force k c;
-  if Atomic.get cow then begin
-    c.shared <- true;
-    c.state
-  end
-  else begin
-    Sm_obs.Metrics.add copy_bytes (D.state_size c.state);
-    D.copy_state c.state
-  end
+(* Hand out a cell's snapshot to a new cell, marking the source shared so
+   the first write on either side is visible as a cow hit.  Persistent
+   applies never mutate a snapshot, so the alias is as private as the
+   paper's deep copy (lib/check's persistence law and Ref_copy.detached
+   check that premise). *)
+let alias c =
+  c.shared <- true;
+  c.state
 
-let fresh_copy (P (k, c)) =
-  P
-    ( k
-    , { state = share_state k c
-      ; applied = 0
-      ; journal = Sm_util.Vec.create ()
-      ; offset = 0
-      ; shared = Atomic.get cow
-      } )
+(* A cell starting at [version] with an empty journal over [c]'s forced
+   snapshot. *)
+let head_copy k c ~version =
+  force k c;
+  { state = alias c
+  ; applied = version
+  ; journal = Sm_util.Vec.create ()
+  ; offset = version
+  ; shared = true
+  }
+
+let fresh_copy (P (k, c)) = P (k, head_copy k c ~version:0)
 
 let copy t = { uid = Atomic.fetch_and_add next_ws_uid 1; cells = Imap.map fresh_copy t.cells }
 
+(* A cell carrying [c]'s journal suffix: the unapplied tail needs no
+   materialization, only the [applied] snapshot is shared. *)
+let detached_copy c =
+  { state = alias c
+  ; applied = c.applied
+  ; journal = Sm_util.Vec.copy c.journal
+  ; offset = c.offset
+  ; shared = true
+  }
+
 let clone_full t =
   { uid = Atomic.fetch_and_add next_ws_uid 1
-  ; cells =
-      Imap.map
-        (fun (P (k, c)) ->
-          (* The journal suffix travels with the clone, so the unapplied tail
-             needs no materialization: only the [applied] snapshot is shared
-             (or deep-copied under the baseline). *)
-          let state =
-            if Atomic.get cow then begin
-              c.shared <- true;
-              c.state
-            end
-            else begin
-              let module D = (val k.data) in
-              Sm_obs.Metrics.add copy_bytes (D.state_size c.state);
-              D.copy_state c.state
-            end
-          in
-          P
-            ( k
-            , { state
-              ; applied = c.applied
-              ; journal = Sm_util.Vec.copy c.journal
-              ; offset = c.offset
-              ; shared = Atomic.get cow
-              } ))
-        t.cells
+  ; cells = Imap.map (fun (P (k, c)) -> P (k, detached_copy c)) t.cells
   }
 
 let clone_trimmed t =
   { uid = Atomic.fetch_and_add next_ws_uid 1
-  ; cells =
-      Imap.map
-        (fun (P (k, c)) ->
-          let version = cell_version c in
-          P
-            ( k
-            , { state = share_state k c
-              ; applied = version
-              ; journal = Sm_util.Vec.create ()
-              ; offset = version
-              ; shared = Atomic.get cow
-              } ))
-        t.cells
+  ; cells = Imap.map (fun (P (k, c)) -> P (k, head_copy k c ~version:(cell_version c))) t.cells
   }
 
 let adopt t ~from = t.cells <- from.cells
@@ -348,28 +301,8 @@ let merge_child ~parent ~child ~base =
       | None ->
         (* Key initialized inside the child: install a detached cell (the
            child may keep mutating its own cell until it terminates; the
-           journal is copied, and the snapshot shared or deep-copied per the
-           active representation — persistent applies keep the alias safe). *)
-        let state =
-          if Atomic.get cow then begin
-            child_cell.shared <- true;
-            child_cell.state
-          end
-          else begin
-            let module D = (val k.data) in
-            Sm_obs.Metrics.add copy_bytes (D.state_size child_cell.state);
-            D.copy_state child_cell.state
-          end
-        in
-        let detached =
-          { state
-          ; applied = child_cell.applied
-          ; journal = Sm_util.Vec.copy child_cell.journal
-          ; offset = child_cell.offset
-          ; shared = Atomic.get cow
-          }
-        in
-        parent.cells <- Imap.add id (P (k, detached)) parent.cells)
+           journal is copied and the snapshot aliased). *)
+        parent.cells <- Imap.add id (P (k, detached_copy child_cell)) parent.cells)
     child.cells
 
 let rebase_from t ~parent = t.cells <- Imap.map fresh_copy parent.cells

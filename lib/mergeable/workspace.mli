@@ -34,15 +34,11 @@
     alias the parent's snapshots instead of copying them: sharing a
     workspace is O(cells), independent of state size, and the "copy" of
     copy-on-write is the O(1) pointer swap the next {!update} performs.
-    Two process-global counters make this observable: [ws.cow_hits]
-    (first write to a still-shared snapshot) and [ws.copy_bytes] (bytes
-    deep-copied by the baseline below; always 0 under COW).
-
-    {!set_cow} [false] switches to the paper's literal model — every share
-    point materializes a structural deep copy per cell via
-    [Data.S.copy_state] — kept as a differential baseline: states,
-    journals and digests must be byte-identical either way (the fuzzer's
-    [cow] oracle and the [SM_COW=0] CI job assert this). *)
+    The process-global counter [ws.cow_hits] (first write to a
+    still-shared snapshot) makes this observable.  The alias is exactly as
+    private as the paper's deep copy because no [apply] mutates its input;
+    lib/check's persistence law and its [Ref_copy] reference model check
+    that premise. *)
 
 type t
 
@@ -131,12 +127,10 @@ val cell_count : t -> int
 (** Number of bound keys — the [O(cells)] in "spawn is O(cells)". *)
 
 val copy : t -> t
-(** Child copy: same bindings and states, empty journals.  O(bindings) when
-    {!cow_enabled} — the persistent states are shared, not deep-copied, so
-    "copying" a workspace is cheap and copy-on-write comes for free (the
-    paper's future-work optimization falls out of persistent data
-    structures).  With COW off, each state is deep-copied
-    ([Data.S.copy_state], metered in [ws.copy_bytes]). *)
+(** Child copy: same bindings and states, empty journals.  O(bindings) —
+    the persistent states are shared, not deep-copied, so "copying" a
+    workspace is cheap and copy-on-write comes for free (the paper's
+    future-work optimization falls out of persistent data structures). *)
 
 val merge_child : parent:t -> child:t -> base:Versions.t -> unit
 (** Merge a child's journals into the parent.  [base] must be the parent
@@ -159,23 +153,6 @@ val set_compaction : bool -> unit
 val compaction_enabled : unit -> bool
 (** Current {!set_compaction} setting. *)
 
-val set_cow : bool -> unit
-(** Toggle copy-on-write sharing at share points (process global, default
-    on).  On: {!copy}/{!clone_full}/{!clone_trimmed}/{!rebase_from} alias
-    the persistent state snapshots — O(cells) regardless of state size.
-    Off: the paper's literal deep-copy model — each share point
-    materializes a structural copy per cell ([Data.S.copy_state]), with
-    the copied bytes metered in [ws.copy_bytes].  States, journals and
-    digests are identical either way; the switch exists so that the
-    equivalence can be measured (the spawn benchmark's speedup gate) and
-    asserted (the fuzzer's [cow] differential oracle, the [SM_COW=0] CI
-    job). *)
-
-val cow_enabled : unit -> bool
-(** Current {!set_cow} setting.  Initialized from the [SM_COW] environment
-    variable at startup ([0]/[off]/[false] select the deep-copy baseline);
-    defaults to on. *)
-
 val cow_hits : Sm_obs.Metrics.counter
 (** [ws.cow_hits] — cells whose snapshot pointer diverged from a base
     shared at a share point (the copy-on-first-write event; with
@@ -183,9 +160,9 @@ val cow_hits : Sm_obs.Metrics.counter
     copy).  Counted at most once per cell per sharing window. *)
 
 val copy_bytes : Sm_obs.Metrics.counter
-(** [ws.copy_bytes] — approximate bytes deep-copied at share points by the
-    {!set_cow}-off baseline ([Data.S.state_size] per copied cell).  Stays
-    0 under COW: the whole point. *)
+(** [ws.copy_bytes] — bytes deep-copied at share points.  Share points
+    only alias, so it reads 0; kept as an exported counter for readers of
+    the [ws.*] metric family. *)
 
 val clone_full : t -> t
 (** A complete clone: states, journals and truncation offsets.  Unlike

@@ -6,13 +6,11 @@
     delete around a concurrently inserted span — the one-to-many case the
     control algorithm must handle.
 
-    The state is representation-polymorphic: a flat string (the paper's
-    model, O(n) per edit) or a chunked {!Rope} (O(log n + |op|) per edit).
-    {!of_string} picks the representation from the [SM_ROPE] switch; both
-    behave identically — same lengths, digests and error messages — and the
-    flat model stays a CI-tested baseline. *)
+    The state is a chunked {!Rope} (O(log n + |op|) per edit).  lib/check's
+    [Ref_text] keeps the paper's flat-string model of the same operations
+    (O(n) per edit) as a test-side reference. *)
 
-type state
+type state = Rope.t
 
 type op =
   | Ins of int * string  (** [Ins (pos, s)]: insert [s] before byte position [pos]. *)
@@ -25,32 +23,11 @@ val ins : int -> string -> op
 val del : pos:int -> len:int -> op
 (** @raise Invalid_argument if [len <= 0]. *)
 
-(** {1 Representation} *)
-
 val of_string : string -> state
-(** Build a state in the currently selected representation (rope unless
-    [SM_ROPE=0] / {!set_rope}[ false]). *)
-
-val flat_of_string : string -> state
-(** Force the flat-string representation, whatever the switch says. *)
-
-val rope_of_string : string -> state
-(** Force the rope representation, whatever the switch says. *)
 
 val to_string : state -> string
-(** Flatten to the document bytes.  O(1) for flat states and single-chunk
-    ropes; O(n) otherwise. *)
+(** Flatten to the document bytes.  O(1) for single-chunk ropes; O(n)
+    otherwise. *)
 
 val length : state -> int
-(** O(1) in both representations. *)
-
-val is_rope : state -> bool
-
-val rope_enabled : unit -> bool
-(** Whether {!of_string} currently builds ropes.  Defaults to [true];
-    the [SM_ROPE] environment variable set to ["0"], ["off"] or ["false"]
-    flips the initial value. *)
-
-val set_rope : bool -> unit
-(** Select the representation for subsequent {!of_string} calls.  Existing
-    states keep the representation they were built with. *)
+(** O(1). *)

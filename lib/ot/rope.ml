@@ -203,21 +203,6 @@ let equal a b =
        go ("", 0) [ a ] ("", 0) [ b ]
      end
 
-(* Structure-preserving deep copy with fresh chunk strings — the rope
-   analogue of copying a flat document, so physical-sharing assertions can
-   tell a copied state from a shared one. *)
-let rec copy = function
-  | Leaf s -> Leaf (String.init (String.length s) (String.get s))
-  | Node { l; r; len; ht } -> Node { l = copy l; r = copy r; len; ht }
-
-(* Heap footprint in bytes, one machine word per block header plus the
-   node fields — what [state_size] accounting reports. *)
-let word_bytes = 8
-
-let rec size_bytes = function
-  | Leaf s -> word_bytes + String.length s
-  | Node { l; r; _ } -> (5 * word_bytes) + size_bytes l + size_bytes r
-
 type stats =
   { chunks : int
   ; depth : int

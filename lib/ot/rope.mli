@@ -1,12 +1,11 @@
 (** Chunked ropes: balanced trees of string chunks for O(log n) edits on
     large documents.
 
-    The backing store behind {!Op_text}'s rope representation.  All
-    operations preserve the structural invariants that {!check} validates:
-    cached lengths and heights are honest, every leaf below the root is
-    nonempty and at most [max_chunk] bytes, and sibling subtree heights
-    differ by at most 2 (the stdlib [Set] balance bound), so depth is
-    O(log chunks). *)
+    The document state of {!Op_text}.  All operations preserve the
+    structural invariants that {!check} validates: cached lengths and
+    heights are honest, every leaf below the root is nonempty and at most
+    [max_chunk] bytes, and sibling subtree heights differ by at most 2 (the
+    stdlib [Set] balance bound), so depth is O(log chunks). *)
 
 type t
 
@@ -54,12 +53,6 @@ val equal : t -> t -> bool
 (** Content equality, chunk-boundary independent, without flattening. *)
 
 val equal_string : t -> string -> bool
-
-val copy : t -> t
-(** Structure-preserving deep copy with fresh chunk strings. *)
-
-val size_bytes : t -> int
-(** Approximate heap footprint (chunk bytes + per-block bookkeeping). *)
 
 val height : t -> int
 

@@ -155,9 +155,9 @@ let edit t f =
 
 (* --- payload application ---------------------------------------------------- *)
 
-let apply_payload t fmt = function
+let apply_payload t = function
   | Proto.Delta entries ->
-    Registry.apply_delta ~format:fmt t.reg ~into:t.shadow ~cursor:(cursor_of t) entries;
+    Registry.apply_delta t.reg ~into:t.shadow ~cursor:(cursor_of t) entries;
     List.iter
       (fun (id, _, to_rev, _) ->
         if to_rev > cursor_of t id then Hashtbl.replace t.cursors id to_rev)
@@ -174,12 +174,12 @@ let after_ack t =
   reset_bases t
 
 let handle_frame t frame =
-  match Proto.open_s2c_v frame with
-  | fmt, Proto.Welcome { session; payload } -> (
+  match Proto.open_s2c frame with
+  | Proto.Welcome { session; payload } -> (
     match t.outstanding with
     | Some (Connect _) ->
       if t.session = None then t.session <- Some session;
-      apply_payload t fmt payload;
+      apply_payload t payload;
       (* With local operations (flushed or not) in play, the view keeps them
          and the next ack re-clones it; with nothing pending no ack will
          ever follow, so the epochs this welcome carried must reach the view
@@ -189,17 +189,17 @@ let handle_frame t frame =
       t.outstanding <- None;
       t.ticks_waiting <- 0
     | _ -> () (* duplicate of an applied welcome *))
-  | fmt, Proto.Ack { req; payload; _ } -> (
+  | Proto.Ack { req; payload; _ } -> (
     match t.outstanding with
     | Some (Editing { req = r; _ }) when req = r ->
-      apply_payload t fmt payload;
+      apply_payload t payload;
       t.last_acked_req <- req;
       outstanding_finished t ~status:"ok";
       t.outstanding <- None;
       t.ticks_waiting <- 0;
       after_ack t
     | _ -> () (* replayed ack for an already-acked request *))
-  | _, Proto.Nack { reason; _ } ->
+  | Proto.Nack { reason; _ } ->
     outstanding_finished t ~status:"nack";
     t.failed <- Some reason
   | exception (Sm_dist.Wire.Frame.Bad_frame msg | Sm_util.Codec.Decode_error msg) ->

@@ -147,34 +147,29 @@ let kind_of_s2c = function
 
 let seal_c2s ?ctx msg = Frame.seal ?ctx Frame.Control (C.encode c2s_codec msg)
 
-let open_c2s_full frame =
-  match Frame.open_v frame with
-  | v, Frame.Control, ctx, payload ->
-    (ctx, Sm_dist.Wire.journal_format_of_version v, C.decode c2s_codec payload)
-  | _, k, _, _ ->
+let open_c2s_ctx frame =
+  match Frame.open_rich frame with
+  | Frame.Control, ctx, payload -> (ctx, C.decode c2s_codec payload)
+  | k, _, _ ->
     raise
       (Frame.Bad_frame
          (Printf.sprintf "client frames are control frames, got %s" (Frame.kind_to_string k)))
-
-let open_c2s_ctx frame =
-  let ctx, _fmt, msg = open_c2s_full frame in
-  (ctx, msg)
 
 let open_c2s frame = snd (open_c2s_ctx frame)
 
 let seal_s2c ?ctx msg = Frame.seal ?ctx (kind_of_s2c msg) (C.encode s2c_codec msg)
 
-let open_s2c_v frame =
-  let v, kind, _ctx, payload = Frame.open_v frame in
+let open_s2c frame =
+  let kind, payload = Frame.open_ frame in
   let msg = C.decode s2c_codec payload in
   if kind_of_s2c msg <> kind then
     raise
       (Frame.Bad_frame
          (Printf.sprintf "frame advertises %s but carries a %s payload" (Frame.kind_to_string kind)
             (Frame.kind_to_string (kind_of_s2c msg))));
-  (Sm_dist.Wire.journal_format_of_version v, msg)
+  msg
 
-let open_s2c frame = snd (open_s2c_v frame)
+let open_s2c_v = open_s2c
 
 let payload_bytes = function
   | Delta entries -> List.fold_left (fun a (_, _, _, ops) -> a + String.length ops) 0 entries

@@ -68,11 +68,9 @@ type t =
       * int
       * (int * int) list
       * (int * string) list
-      * Sm_dist.Wire.journal_format
       * Obs.Trace_ctx.t option)
       list
-      (* (session, req, eid, base, ops, journal format, serve ctx), arrival
-         order (reversed); the format is the sender's — ops decode with it *)
+      (* (session, req, eid, base, ops, serve ctx), arrival order (reversed) *)
   ; mutable tick_count : int
   ; h_merge : Obs.Metrics.histogram  (* per-shard merge latency *)
   ; mutable delta_payload_bytes : int  (* document bytes shipped as deltas *)
@@ -304,18 +302,18 @@ let handle_resume t conn ~session ~req ~cursors ~tctx =
       reply ?ctx:sctx s ~req (Proto.Welcome { session = s.sid; payload })
     end
 
-let handle_edit t conn ~session ~req ~eid ~base ~ops ~fmt ~tctx =
+let handle_edit t conn ~session ~req ~eid ~base ~ops ~tctx =
   match Hashtbl.find_opt t.sessions session with
   | None -> nack t conn ~session ~req ~reason:"unknown session"
   | Some s ->
     s.sconn <- conn;
     if req <= s.last_req then replay t s
     else if
-      List.exists (fun (s', req', _, _, _, _, _) -> s'.sid = s.sid && req' = req) t.epoch_buffer
+      List.exists (fun (s', req', _, _, _, _) -> s'.sid = s.sid && req' = req) t.epoch_buffer
     then () (* retransmit of an edit already waiting for the epoch *)
     else begin
       let sctx = serve t ~op:"edit" ~req ~session tctx in
-      t.epoch_buffer <- (s, req, eid, base, ops, fmt, sctx) :: t.epoch_buffer
+      t.epoch_buffer <- (s, req, eid, base, ops, sctx) :: t.epoch_buffer
     end
 
 let handle_poll t conn ~session ~req ~tctx =
@@ -344,14 +342,14 @@ let reject t reason =
   fr t E.Note [ ("name", E.S "rejected_frame"); ("reason", E.S reason) ]
 
 let handle_frame t conn frame =
-  match Proto.open_c2s_full frame with
-  | tctx, _, Proto.Hello { client } -> handle_hello t conn ~client ~tctx
-  | tctx, _, Proto.Resume { session; req; cursors } ->
+  match Proto.open_c2s_ctx frame with
+  | tctx, Proto.Hello { client } -> handle_hello t conn ~client ~tctx
+  | tctx, Proto.Resume { session; req; cursors } ->
     handle_resume t conn ~session ~req ~cursors ~tctx
-  | tctx, fmt, Proto.Edit { session; req; eid; base; ops } ->
-    handle_edit t conn ~session ~req ~eid ~base ~ops ~fmt ~tctx
-  | tctx, _, Proto.Poll { session; req } -> handle_poll t conn ~session ~req ~tctx
-  | _, _, Proto.Bye { session } -> handle_bye t ~session
+  | tctx, Proto.Edit { session; req; eid; base; ops } ->
+    handle_edit t conn ~session ~req ~eid ~base ~ops ~tctx
+  | tctx, Proto.Poll { session; req } -> handle_poll t conn ~session ~req ~tctx
+  | _, Proto.Bye { session } -> handle_bye t ~session
   | exception (Sm_dist.Wire.Frame.Bad_frame msg | Sm_util.Codec.Decode_error msg) -> reject t msg
   | exception Sm_dist.Wire.Frame.Unsupported_version { got; speaks } ->
     reject t (Printf.sprintf "frame version %d (this build speaks %d)" got speaks)
@@ -368,9 +366,9 @@ let flush_epoch t =
        superseded are dropped whole — the client discarded that request and
        will re-issue the batch (same eid) if it still matters. *)
     let edits =
-      List.stable_sort (fun (a, _, _, _, _, _, _) (b, _, _, _, _, _, _) -> compare a.sid b.sid)
+      List.stable_sort (fun (a, _, _, _, _, _) (b, _, _, _, _, _) -> compare a.sid b.sid)
         (List.rev buffered)
-      |> List.filter (fun ((s : session), req, _, _, _, _, _) -> req > s.last_req)
+      |> List.filter (fun ((s : session), req, _, _, _, _) -> req > s.last_req)
     in
     t.epoch_buffer <- [];
     (* The memo keys embed the revision window, so entries never go stale;
@@ -384,7 +382,7 @@ let flush_epoch t =
     (* Merge pass first, replies second: every participant's ack reflects
        the WHOLE epoch, not the prefix merged before its own batch. *)
     List.iter
-      (fun ((s : session), _req, eid, base, ops, fmt, sctx) ->
+      (fun ((s : session), _req, eid, base, ops, sctx) ->
         if eid > s.last_eid then begin
           (* A batch this session has not merged yet (re-issues after a
              resume carry the old eid and are skipped: exactly-once).
@@ -398,7 +396,7 @@ let flush_epoch t =
                   let ci0 = Obs.Metrics.value m_ot_compact_in in
                   let co0 = Obs.Metrics.value m_ot_compact_out in
                   let merged =
-                    Registry.merge_edit ~format:fmt t.reg ~into:t.ws
+                    Registry.merge_edit t.reg ~into:t.ws
                       ~base_rev:(fun id -> Option.value ~default:0 (List.assoc_opt id base))
                       [ entry ]
                   in
@@ -456,7 +454,7 @@ let flush_epoch t =
         end)
       edits;
     List.iter
-      (fun ((s : session), req, _, _, _, _, sctx) ->
+      (fun ((s : session), req, _, _, _, sctx) ->
         let payload = fresh_payload t s in
         account_payload t payload;
         reply ?ctx:sctx s ~req (Proto.Ack { session = s.sid; req; payload }))

@@ -112,14 +112,10 @@ let pp_hot_docs ppf docs =
           d.Server.d_ops d.Server.d_transforms d.Server.d_compact_in d.Server.d_compact_out ratio)
       docs
 
-(* Workspace sharing counters (process-global): how many cells hit their
-   copy-on-first-write, and how many bytes the deep-copy baseline
-   materialized (0 under COW). *)
+(* Workspace sharing counter (process-global): how many cells hit their
+   copy-on-first-write. *)
 let pp_ws ppf () =
-  Format.fprintf ppf "ws: cow=%s cow_hits=%d copy_bytes=%d@."
-    (if Sm_mergeable.Workspace.cow_enabled () then "on" else "off")
-    (Obs.Metrics.value Sm_mergeable.Workspace.cow_hits)
-    (Obs.Metrics.value Sm_mergeable.Workspace.copy_bytes)
+  Format.fprintf ppf "ws: cow_hits=%d@." (Obs.Metrics.value Sm_mergeable.Workspace.cow_hits)
 
 let pp_net ppf (st : Netpipe.stats) =
   Format.fprintf ppf

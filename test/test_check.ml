@@ -158,6 +158,42 @@ let register_and_xfail () =
   | Some reason -> check_bool "carries the reason" (String.length reason > 0)
   | None -> Alcotest.fail "expected reason missing"
 
+(* The persistence law catches an [apply] that writes into its input: a
+   byte-buffer fixture whose [Set] op mutates the buffer in place before
+   returning it. *)
+module In_place = struct
+  type state = Bytes.t
+  type op = Set of int * char
+
+  let name = "inplace"
+
+  let apply s (Set (i, c)) =
+    Bytes.set s i c;
+    s
+
+  let transform a ~against:_ ~tie:_ = [ a ]
+
+  include Sm_ot.Op_sig.Default
+
+  let equal_state = Bytes.equal
+  let pp_state ppf s = Format.fprintf ppf "%S" (Bytes.to_string s)
+  let pp_op ppf (Set (i, c)) = Format.fprintf ppf "set(%d, %C)" i c
+  let states ~depth:_ = [ Bytes.of_string "ab" ]
+  let ops s = List.init (Bytes.length s) (fun i -> Set (i, 'z'))
+  let shrink_op _ = []
+end
+
+module In_place_checker = Check.Checker.Make (In_place)
+
+let persistence_catches_in_place () =
+  match In_place_checker.check ~depth:1 () with
+  | Ok _ -> Alcotest.fail "an apply that mutates its input passed the persistence law"
+  | Error (_, cex) ->
+    let r = In_place_checker.render cex in
+    check_bool "reported as a persistence violation" (r.Report.property = Report.Persistence);
+    check_bool "the detail shows the input changing"
+      (contains ~needle:"changed its input" r.Report.detail)
+
 let suite =
   [ Alcotest.test_case "shrink: converges to the boundary" `Quick shrink_converges
   ; Alcotest.test_case "shrink: max_steps backstop" `Quick shrink_respects_max_steps
@@ -171,4 +207,6 @@ let suite =
   ; Alcotest.test_case "shrink preserves the failing property" `Quick shrink_preserves_failure
   ; Alcotest.test_case "registry: lenient lookup" `Quick lenient_lookup
   ; Alcotest.test_case "registry: user module registers and XFAILs" `Quick register_and_xfail
+  ; Alcotest.test_case "persistence: an in-place apply is caught" `Quick
+      persistence_catches_in_place
   ]

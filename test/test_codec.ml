@@ -142,13 +142,12 @@ let packed_rejects_malformed () =
   rejects "trailing garbage" "\x00\x00"
 
 (* 500 random sequential journals survive the packed codec byte-for-byte,
-   and classic-coded journals keep decoding (the v1/v2 compatibility pin:
-   old frames negotiate [Classic], which is [C.list op_codec]). *)
+   and never encode larger than a tagged op list ([C.list op_codec]). *)
 let packed_random_roundtrip () =
   let module T = Sm_ot.Op_text in
   let module Rng = Sm_util.Det_rng in
   let j = Sm_dist.Codable.Text.journal_codec in
-  let classic = C.list Sm_dist.Codable.Text.op_codec in
+  let tagged = C.list Sm_dist.Codable.Text.op_codec in
   let rng = Rng.create ~seed:0xC0DECL in
   for _ = 1 to 500 do
     let len = ref (Rng.int rng ~bound:200) in
@@ -169,10 +168,8 @@ let packed_random_roundtrip () =
           end)
     in
     check_bool "packed roundtrip" (roundtrip j ops);
-    check_bool "classic still decodes" (roundtrip classic ops);
-    (* packed never loses to classic on sequential journals *)
-    check_bool "packed no larger than classic + slack"
-      (String.length (C.encode j ops) <= String.length (C.encode classic ops) + 1)
+    check_bool "packed no larger than a tagged op list + slack"
+      (String.length (C.encode j ops) <= String.length (C.encode tagged ops) + 1)
   done
 
 let suite =

@@ -190,44 +190,38 @@ let hazard_triggers_flight_dump () =
     | _ -> Alcotest.fail "snapshot must hold exactly the one recorded event")
   | None -> Alcotest.fail "a hazard must trigger a flight snapshot"
 
-(* --- representation parity: COW sharing vs the deep-copy baseline ----------- *)
+(* --- model parity: COW sharing vs the deep-copy model ----------------------- *)
 
-(* The workspace representation must be invisible to the sanitizer: the same
-   program yields the same hazard tags and digest whether spawns share
-   persistent states (COW, default) or deep-copy them (the SM_COW=0
-   baseline).  Lazy materialization emits no hooks, so it can neither add
-   nor drop Updated/Digested provenance. *)
+(* Copy-on-write aliasing must be invisible to the sanitizer: the same
+   program yields the same hazard tags and digest on a key whose every
+   apply also runs on a deep copy (Ref_copy.detached, the paper's model).
+   Lazy materialization emits no hooks, so it can neither add nor drop
+   Updated/Digested provenance. *)
+let k_deep = Ws.create_key (Sm_check.Ref_copy.detached (module Mc.Data)) ~name:(Ws.key_name k)
+
 let cow_hazard_parity () =
-  let clean ctx =
+  let clean k ctx =
     Ws.init (Rt.workspace ctx) k 0;
     let a = Rt.spawn ctx (fun c -> Mc.incr (Rt.workspace c) k) in
     let b = Rt.spawn ctx (fun c -> Mc.add (Rt.workspace c) k 2) in
     Rt.merge_all_from_set ctx [ a; b ]
   in
-  let hazardous ctx =
+  let hazardous k ctx =
     Ws.init (Rt.workspace ctx) k 0;
     let _a = Rt.spawn ctx (fun c -> Mc.incr (Rt.workspace c) k) in
     let _b = Rt.spawn ctx (fun c -> Mc.incr (Rt.workspace c) k) in
     ignore (Rt.merge_any ctx);
     Rt.merge_all ctx
   in
-  let under_cow on prog =
-    let saved = Ws.cow_enabled () in
-    Fun.protect
-      ~finally:(fun () -> Ws.set_cow saved)
-      (fun () ->
-        Ws.set_cow on;
-        Detsan.run prog)
-  in
-  let h_on, d_on = under_cow true clean in
-  let h_off, d_off = under_cow false clean in
-  check_bool "clean stays clean in both representations" (h_on = [] && h_off = []);
-  check_bool "clean digests agree across representations" (String.equal d_on d_off);
-  let hz_on, hd_on = under_cow true hazardous in
-  let hz_off, hd_off = under_cow false hazardous in
-  check_bool "identical hazard tags across representations" (tags hz_on = tags hz_off);
+  let h_on, d_on = Detsan.run (clean k) in
+  let h_off, d_off = Detsan.run (clean k_deep) in
+  check_bool "clean stays clean under both models" (h_on = [] && h_off = []);
+  check_bool "clean digests agree across models" (String.equal d_on d_off);
+  let hz_on, hd_on = Detsan.run (hazardous k) in
+  let hz_off, hd_off = Detsan.run (hazardous k_deep) in
+  check_bool "identical hazard tags across models" (tags hz_on = tags hz_off);
   check_bool "nondet-merge seen in both" (List.mem "nondet-merge" (tags hz_on));
-  check_bool "hazardous digests agree across representations" (String.equal hd_on hd_off)
+  check_bool "hazardous digests agree across models" (String.equal hd_on hd_off)
 
 let suite =
   [ Alcotest.test_case "clean program has no hazards" `Quick clean_is_clean

@@ -257,57 +257,53 @@ let cluster_reuse () =
 
 module Frame = Sm_dist.Wire.Frame
 
-let frame_v1_compat () =
-  (* New builds always stamp the current version — the frame version is the
-     journal-format negotiation, so a ctx-less seal is a version-3 frame
-     with a zero-length context slot. *)
+let frame_v3_only () =
+  (* Version 3 is the only layout: magic, u16 version, kind, u32 length,
+     u8 context length (0 without a context), context, payload. *)
   let sealed = Frame.seal Frame.Delta "payload" in
   Alcotest.(check int) "v3 ctx-less header is 10 bytes" (10 + String.length "payload")
     (String.length sealed);
   Alcotest.(check string) "magic" "SM" (String.sub sealed 0 2);
-  Alcotest.(check int) "default seal stamps the current version" Frame.version
-    (Char.code sealed.[3]);
+  Alcotest.(check int) "seal stamps version 3" 3 Frame.version;
+  Alcotest.(check int) "on the wire" Frame.version (Char.code sealed.[3]);
   let kind, payload = Frame.open_ sealed in
   check_bool "kind survives" (kind = Frame.Delta);
   Alcotest.(check string) "payload survives" "payload" payload;
-  let v, kind, ctx, payload = Frame.open_v sealed in
-  check_bool "open_v agrees" (v = Frame.version && kind = Frame.Delta && payload = "payload");
-  check_bool "ctx-less frames carry no context" (ctx = None);
-  check_bool "current version implies packed journals"
-    (Sm_dist.Wire.journal_format_of_version v = Sm_dist.Wire.Packed);
-  (* Version-1 frames — what pre-context builds emitted — must decode
-     forever, and classify as classic-journal speakers. *)
-  let sealed1 = Frame.seal ~version:1 Frame.Delta "payload" in
-  Alcotest.(check int) "v1 header is 9 bytes" (9 + String.length "payload")
-    (String.length sealed1);
-  Alcotest.(check int) "explicit v1 layout" 1 (Char.code sealed1.[3]);
-  let v1, kind1, ctx1, payload1 = Frame.open_v sealed1 in
-  check_bool "v1 decodes forever" (v1 = 1 && kind1 = Frame.Delta && payload1 = "payload");
-  check_bool "v1 frames carry no context" (ctx1 = None);
-  check_bool "v1 implies classic journals"
-    (Sm_dist.Wire.journal_format_of_version v1 = Sm_dist.Wire.Classic);
-  check_bool "v1 cannot carry a context"
-    (match Frame.seal ~version:1 ~ctx:(Sm_obs.Trace_ctx.root "r") Frame.Control "x" with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  (* Version-2 frames (trace context, classic journals) also decode forever. *)
+  (match Frame.open_rich sealed with
+  | _, None, _ -> ()
+  | _ -> Alcotest.fail "ctx-less frames carry no context");
   let c = Sm_obs.Trace_ctx.child (Sm_obs.Trace_ctx.root "req") "hop" in
-  let sealed2 = Frame.seal ~version:2 ~ctx:c Frame.Control "p2" in
-  Alcotest.(check int) "explicit v2 layout" 2 (Char.code sealed2.[3]);
-  let kind2, payload2 = Frame.open_ sealed2 in
-  check_bool "plain open drops the context" (kind2 = Frame.Control && payload2 = "p2");
-  (match Frame.open_v sealed2 with
-  | 2, _, Some c', p when p = "p2" -> check_bool "context round-trips" (Sm_obs.Trace_ctx.equal c c')
-  | _ -> Alcotest.fail "rich open must surface the v2 context");
-  check_bool "v2 implies classic journals"
-    (Sm_dist.Wire.journal_format_of_version 2 = Sm_dist.Wire.Classic);
-  (* A context on a default seal rides the same version-3 frame. *)
-  let sealed3 = Frame.seal ~ctx:c Frame.Control "p3" in
-  Alcotest.(check int) "ctx seal is still current version" Frame.version
-    (Char.code sealed3.[3]);
-  match Frame.open_rich sealed3 with
+  (match Frame.open_rich (Frame.seal ~ctx:c Frame.Control "p3") with
   | _, Some c', p when p = "p3" -> check_bool "v3 context round-trips" (Sm_obs.Trace_ctx.equal c c')
-  | _ -> Alcotest.fail "rich open must surface the v3 context"
+  | _ -> Alcotest.fail "rich open must surface the v3 context");
+  (* Frames in the earlier layouts are rejected with the typed error, not
+     decoded and not reported as corrupt bytes. *)
+  List.iter
+    (fun version ->
+      let frame = pre_v3_frame ~version ~kind:1 "payload" in
+      match Frame.open_ frame with
+      | exception Frame.Unsupported_version { got; speaks } ->
+        Alcotest.(check int) (Printf.sprintf "v%d: reports the version" version) version got;
+        Alcotest.(check int) (Printf.sprintf "v%d: reports 3" version) 3 speaks
+      | _ -> Alcotest.fail (Printf.sprintf "a version-%d frame must be rejected" version))
+    [ 1; 2 ]
+
+(* The coordinator turns a pre-v3 upstream frame into [Remote_failure]
+   naming both versions, like any other frame it cannot accept. *)
+let coordinator_rejects_pre_v3 () =
+  let completed = Sm_dist.Wire.Task_completed { uid = 0; journal = [] } in
+  let up = Sm_util.Codec.encode Sm_dist.Wire.up_codec completed in
+  check_bool "a current frame decodes" (D.decode_up (Sm_dist.Wire.seal_control up) = completed);
+  List.iter
+    (fun version ->
+      match D.decode_up (pre_v3_frame ~version ~kind:0 up) with
+      | exception D.Remote_failure msg ->
+        Alcotest.(check string)
+          (Printf.sprintf "v%d: Remote_failure" version)
+          (Printf.sprintf "rejected frame: peer speaks frame version %d, this build 3" version)
+          msg
+      | _ -> Alcotest.fail (Printf.sprintf "a version-%d upstream frame must be rejected" version))
+    [ 1; 2 ]
 
 let frame_unknown_version_rejected () =
   let sealed = Bytes.of_string (Frame.seal Frame.Control "x") in
@@ -317,7 +313,7 @@ let frame_unknown_version_rejected () =
     Alcotest.(check int) "reports the alien version" 255 got;
     Alcotest.(check int) "reports what this build speaks" Frame.version speaks
   | _ -> Alcotest.fail "version 255 must be rejected");
-  (* Version 0 is below [min_version]: same typed rejection, not Bad_frame. *)
+  (* Version 0: same typed rejection, not Bad_frame. *)
   Bytes.set_uint16_be sealed 2 0;
   (match Frame.open_rich (Bytes.to_string sealed) with
   | exception Frame.Unsupported_version { got; _ } ->
@@ -352,42 +348,6 @@ let frame_roundtrip_property () =
     | _ -> Alcotest.fail "context presence must round-trip"
   done
 
-(* A journal encoded classic (tagged op list, what v1/v2 frames imply) and
-   one encoded packed (v3) carry different bytes but must merge to the same
-   document and digest — the registry speaks both formats forever. *)
-let journal_format_compat () =
-  let reg = Reg.create () in
-  let kt = Reg.value reg ~name:"doc" (module Sm_dist.Codable.Text) in
-  let k = Reg.workspace_key kt in
-  let parent = Ws.create () in
-  Ws.init parent k (Sm_ot.Op_text.of_string "the quick brown fox");
-  let base = Ws.snapshot parent in
-  let child = Reg.build_workspace reg (Reg.encode_snapshot reg parent) in
-  List.iter (Ws.update child k)
-    [ Sm_ot.Op_text.ins 4 "very "; Sm_ot.Op_text.del ~pos:0 ~len:4; Sm_ot.Op_text.ins 0 "A " ];
-  let packed = Reg.encode_journal reg child in
-  let classic = Reg.encode_journal ~format:Sm_dist.Wire.Classic reg child in
-  check_bool "wire images differ" (packed <> classic);
-  check_bool "packed is denser"
-    (List.fold_left (fun n (_, s) -> n + String.length s) 0 packed
-    < List.fold_left (fun n (_, s) -> n + String.length s) 0 classic);
-  let merged fmt entries =
-    let ws = Reg.build_workspace reg (Reg.encode_snapshot reg parent) in
-    Reg.merge_journal ~format:fmt reg ~into:ws ~base entries;
-    (Sm_ot.Op_text.to_string (Ws.read ws k), Ws.digest ws)
-  in
-  let doc_p, dig_p = merged Sm_dist.Wire.Packed packed in
-  let doc_c, dig_c = merged Sm_dist.Wire.Classic classic in
-  Alcotest.(check string) "documents agree" doc_p doc_c;
-  Alcotest.(check string) "digests agree" dig_p dig_c;
-  Alcotest.(check string) "expected document" "A very quick brown fox" doc_p;
-  (* feeding packed bytes to the classic decoder must fail loudly, not
-     silently misparse *)
-  check_bool "formats are not interchangeable"
-    (match merged Sm_dist.Wire.Classic packed with
-    | _ -> false
-    | exception Sm_util.Codec.Decode_error _ -> true)
-
 let suite =
   [ Alcotest.test_case "remote counters sum" `Quick remote_counters
   ; Alcotest.test_case "merge order deterministic across runs" `Quick creation_order_is_deterministic
@@ -401,9 +361,9 @@ let suite =
   ; Alcotest.test_case "validation over the wire" `Quick validation_over_the_wire
   ; Alcotest.test_case "refusal preserves sibling bases" `Quick validation_preserves_history
   ; Alcotest.test_case "cluster reused across runs" `Quick cluster_reuse
-  ; Alcotest.test_case "frame: version negotiation + compat" `Quick frame_v1_compat
+  ; Alcotest.test_case "frame: v3 layout, v1/v2 rejected" `Quick frame_v3_only
+  ; Alcotest.test_case "coordinator: pre-v3 frames -> Remote_failure" `Quick
+      coordinator_rejects_pre_v3
   ; Alcotest.test_case "frame: alien versions rejected" `Quick frame_unknown_version_rejected
   ; Alcotest.test_case "frame: seal/open round-trip property" `Quick frame_roundtrip_property
-  ; Alcotest.test_case "journal formats: classic and packed merge identically" `Quick
-      journal_format_compat
   ]

@@ -5,7 +5,7 @@
     [merge_any_from_set]. *)
 
 open Test_support
-module P = Sm_fuzz.Program
+module P = Sm_ir.Program
 module Rt = Sm_core.Runtime
 module Ws = Sm_mergeable.Workspace
 module Np = Sm_sim.Netpipe
@@ -73,31 +73,97 @@ let clean_seeds_pass () =
             (seeds_of 5))
         [ (P.det_profile, "det"); (P.full_profile, "full") ])
 
-(* The rope oracle on clean seeds, from both starting representations: a
-   focused run flips SM_ROPE inside the oracle, so driving it once with the
-   ambient default and once from the flipped baseline exercises rope-vs-flat
-   and flat-vs-rope digests on the same programs. *)
-let rope_oracle_clean_seeds () =
+(* The two reference-model oracles on clean seeds of both profiles: the
+   runs over the detached (deep-copy) and flat-checked keysets raise
+   nothing and reproduce the clean digest. *)
+let reference_oracles_clean_seeds () =
   Sm_fuzz.Oracle.with_env (fun env ->
-      let was = Sm_ot.Op_text.rope_enabled () in
-      Fun.protect
-        ~finally:(fun () -> Sm_ot.Op_text.set_rope was)
-        (fun () ->
+      List.iter
+        (fun (focus, profile) ->
           List.iter
-            (fun ambient ->
-              Sm_ot.Op_text.set_rope ambient;
-              List.iter
-                (fun seed ->
-                  let p =
-                    Sm_fuzz.Fuzzer.program_of_seed ~seed ~depth:2 ~profile:P.full_profile
-                  in
-                  match Sm_fuzz.Oracle.check ~focus:"rope" ~runs:2 env p with
-                  | Ok () -> ()
-                  | Error f ->
-                    Alcotest.failf "seed %Ld (ambient rope=%b): [%s] %s" seed ambient
-                      f.Sm_fuzz.Oracle.oracle f.Sm_fuzz.Oracle.detail)
-                (seeds_of 5))
-            [ true; false ]))
+            (fun seed ->
+              let p = Sm_fuzz.Fuzzer.program_of_seed ~seed ~depth:2 ~profile in
+              match Sm_fuzz.Oracle.check ~focus ~runs:2 env p with
+              | Ok () -> ()
+              | Error f ->
+                Alcotest.failf "seed %Ld: [%s] %s" seed f.Sm_fuzz.Oracle.oracle
+                  f.Sm_fuzz.Oracle.detail)
+            (seeds_of 5))
+        [ ("cow", P.det_profile); ("cow", P.full_profile); ("rope", P.det_profile)
+        ; ("rope", P.full_profile) ])
+
+let text sel a b = P.Op { P.ty = P.Text; sel; a; b }
+let merge_all = P.Merge { kind = P.All; sel = 0; validate = 0 }
+
+(* A test-only text module with a persistence bug: it computes the right
+   result, then writes into the first nonempty chunk of its input — the
+   snapshot a copy-on-write workspace may still share with a parent. *)
+module Mutating_text = struct
+  include Sm_mergeable.Mtext.Data
+
+  let apply r op =
+    let result = apply r op in
+    let first =
+      Sm_ot.Rope.fold_chunks (fun acc c -> if acc = None && c <> "" then Some c else acc) None r
+    in
+    Option.iter
+      (fun c ->
+        let b = Bytes.unsafe_of_string c in
+        Bytes.set b 0 (if Bytes.get b 0 = '#' then '%' else '#'))
+      first;
+    result
+end
+
+let cow_catches_mutating_apply () =
+  let root = [ text 2 0 1; P.Spawn 0; text 0 0 2; merge_all ] in
+  let prog = { P.scripts = [| root; [ text 2 0 3 ] |] } in
+  let oracle ~text =
+    let keys = Sm_fuzz.Interp.Keyset.make ~text () in
+    let detached =
+      Sm_fuzz.Interp.Keyset.make ~wrap:Sm_fuzz.Interp.Keyset.detached_wrap ~text ()
+    in
+    Sm_fuzz.Oracle.cow ~detached prog ~baseline:(Sm_fuzz.Oracle.coop_digest keys prog)
+  in
+  check_bool "the clean text module passes"
+    (oracle ~text:(module Sm_mergeable.Mtext.Data) = Ok ());
+  match oracle ~text:(module Mutating_text) with
+  | Ok () -> Alcotest.fail "an apply that mutates its input passed the cow oracle"
+  | Error f ->
+    Alcotest.(check string) "caught by the cow oracle" "cow" f.Sm_fuzz.Oracle.oracle;
+    check_bool "the report names the mutation"
+      (contains ~needle:"mutated its input" f.Sm_fuzz.Oracle.detail)
+
+(* A test-only text module with an off-by-one at the rope's chunk seam: an
+   insert at exactly [Rope.target_chunk] lands one byte early. *)
+module Seam_text = struct
+  include Sm_mergeable.Mtext.Data
+
+  let apply r op =
+    match op with
+    | Sm_ot.Op_text.Ins (pos, s) when pos = Sm_ot.Rope.target_chunk ->
+      apply r (Sm_ot.Op_text.Ins (pos - 1, s))
+    | op -> apply r op
+end
+
+let rope_catches_seam_bug () =
+  (* 342 three-byte appends grow the document past the seam (1026 bytes);
+     then one insert at position [target_chunk] = 1024 *)
+  let appends = List.init 342 (fun _ -> text 2 0 10) in
+  let root = appends @ [ P.Spawn 0; text 0 Sm_ot.Rope.target_chunk 4; merge_all ] in
+  let prog = { P.scripts = [| root; [ text 2 0 5 ] |] } in
+  let oracle ~text =
+    let keys = Sm_fuzz.Interp.Keyset.make ~text () in
+    let checked = Sm_fuzz.Interp.Keyset.make ~text:(Sm_check.Ref_text.checked text) () in
+    Sm_fuzz.Oracle.rope ~checked prog ~baseline:(Sm_fuzz.Oracle.coop_digest keys prog)
+  in
+  check_bool "the clean text module passes"
+    (oracle ~text:(module Sm_mergeable.Mtext.Data) = Ok ());
+  match oracle ~text:(module Seam_text) with
+  | Ok () -> Alcotest.fail "a chunk-seam off-by-one passed the rope oracle"
+  | Error f ->
+    Alcotest.(check string) "caught by the rope oracle" "rope" f.Sm_fuzz.Oracle.oracle;
+    check_bool "the report names the divergence"
+      (contains ~needle:"flat model" f.Sm_fuzz.Oracle.detail)
 
 (* The acceptance criterion: every PR-3 [Mutate] kind seeded into the data
    plane is caught by the differential oracle and shrinks to a program of at
@@ -291,8 +357,12 @@ let suite =
   ; Alcotest.test_case "program: generator respects profile" `Quick generator_respects_profile
   ; Alcotest.test_case "program: profile string round-trip" `Quick profile_round_trip
   ; Alcotest.test_case "oracle: clean seeds pass everything" `Slow clean_seeds_pass
-  ; Alcotest.test_case "oracle: rope differential from both representations" `Slow
-      rope_oracle_clean_seeds
+  ; Alcotest.test_case "oracle: cow and rope pass on clean seeds" `Slow
+      reference_oracles_clean_seeds
+  ; Alcotest.test_case "oracle: cow catches an apply mutating its input" `Quick
+      cow_catches_mutating_apply
+  ; Alcotest.test_case "oracle: rope catches a chunk-seam off-by-one" `Quick
+      rope_catches_seam_bug
   ; Alcotest.test_case "corpus: seeded mutations caught, shrunk <= 6" `Slow
       corpus_catches_and_shrinks
   ; Alcotest.test_case "fuzz_one: failure report replays byte-for-byte" `Slow

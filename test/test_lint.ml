@@ -189,28 +189,6 @@ let agreement_sampled () =
             Alcotest.failf "corpus %s: %s" o.name (String.concat "; " o.violations))
         (F.Agree.corpus_outcomes env))
 
-(* The agreement contract is about program structure, not workspace
-   representation: it must hold identically when spawns deep-copy state
-   (the SM_COW=0 baseline) instead of sharing it copy-on-write.  A smaller
-   seed batch than [agreement_sampled] — the point is the mode flip, not
-   coverage. *)
-let agreement_cow_off () =
-  let module Ws = Sm_mergeable.Workspace in
-  let saved = Ws.cow_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Ws.set_cow saved)
-    (fun () ->
-      Ws.set_cow false;
-      F.Oracle.with_env (fun env ->
-          let outcomes =
-            F.Agree.run_seeds env ~seed_base:1L ~seeds:10 ~depth:3 ~profile:P.det_profile ()
-          in
-          List.iter
-            (fun (o : F.Agree.outcome) ->
-              if o.violations <> [] then
-                Alcotest.failf "cow-off %s: %s" o.name (String.concat "; " o.violations))
-            outcomes))
-
 let lint_rides_in_fuzz_report () =
   F.Oracle.with_env (fun env ->
       match
@@ -272,7 +250,6 @@ let suite =
   ; Alcotest.test_case "lint: matrix derivation (queue pinned, counter commutes)" `Quick
       matrix_derivation
   ; Alcotest.test_case "agree: contracts hold on 50 seeds + corpus" `Slow agreement_sampled
-  ; Alcotest.test_case "agree: contract holds with COW disabled" `Slow agreement_cow_off
   ; Alcotest.test_case "fuzz: --lint verdict rides in the failure report" `Slow
       lint_rides_in_fuzz_report
   ; Alcotest.test_case "netpipe: closed send never consumes a fault decision" `Quick

@@ -1,8 +1,7 @@
 (* Text OT: pinned range-transform cases (including the one-to-many split)
-   plus randomized TP1 / sequence convergence.  States go through
-   [T.of_string], so the whole suite runs against whichever representation
-   the SM_ROPE switch selects; the error-message parity case pins both
-   representations explicitly. *)
+   plus randomized TP1 / sequence convergence on the rope state; the
+   error-message parity case pins the rope against lib/check's flat-string
+   reference model. *)
 
 open Test_support
 module T = Sm_ot.Op_text
@@ -25,40 +24,34 @@ let apply_cases () =
   Alcotest.check_raises "del constructor rejects zero length"
     (Invalid_argument "Op_text.del: len must be positive") (fun () -> ignore (T.del ~pos:0 ~len:0))
 
-(* Invalid operations must fail with byte-identical messages whether the
-   document is flat or a rope — error text is observable behaviour, and the
-   differential battery compares it. *)
+(* Invalid operations must fail with byte-identical messages on the rope
+   and on the flat reference model (Ref_text) — error text is observable
+   behaviour, and the rope oracle compares it. *)
 let error_message_parity () =
-  let msg st f =
-    match f st with
-    | () -> "no exception"
+  let msg apply =
+    match apply () with
+    | (_ : unit) -> "no exception"
     | exception Invalid_argument m -> m
   in
-  let probes =
-    [ ("ins position oob", fun st -> ignore (T.apply st (T.ins 6 "x")))
-    ; ("ins position far oob", fun st -> ignore (T.apply st (T.ins 1000 "x")))
-    ; ("ins negative position", fun st -> ignore (T.apply st (T.Ins (-1, "x"))))
-    ; ("del range oob", fun st -> ignore (T.apply st (T.Del (4, 2))))
-    ; ("del wholly oob", fun st -> ignore (T.apply st (T.Del (9, 3))))
-    ; ("del zero length", fun st -> ignore (T.apply st (T.Del (2, 0))))
-    ; ("del negative length", fun st -> ignore (T.apply st (T.Del (2, -1))))
-    ]
+  let parity doc (name, op) =
+    Alcotest.(check string) name
+      (msg (fun () -> ignore (Sm_check.Ref_text.apply doc op)))
+      (msg (fun () -> ignore (T.apply (T.of_string doc) op)))
   in
-  List.iter
-    (fun (name, f) ->
-      Alcotest.(check string) name
-        (msg (T.flat_of_string "hello") f)
-        (msg (T.rope_of_string "hello") f))
-    probes;
+  List.iter (parity "hello")
+    [ ("ins position oob", T.ins 6 "x")
+    ; ("ins position far oob", T.ins 1000 "x")
+    ; ("ins negative position", T.Ins (-1, "x"))
+    ; ("del range oob", T.Del (4, 2))
+    ; ("del wholly oob", T.Del (9, 3))
+    ; ("del zero length", T.Del (2, 0))
+    ; ("del negative length", T.Del (2, -1))
+    ];
   (* and on a document long enough that the rope actually has chunks *)
   let long = String.concat "" (List.init 500 (fun i -> Printf.sprintf "line %04d\n" i)) in
   let oob = String.length long + 7 in
-  List.iter
-    (fun (name, f) ->
-      Alcotest.(check string) name (msg (T.flat_of_string long) f) (msg (T.rope_of_string long) f))
-    [ ("long ins oob", fun st -> ignore (T.apply st (T.Ins (oob, "x"))))
-    ; ("long del oob", fun st -> ignore (T.apply st (T.Del (oob - 3, 5))))
-    ]
+  List.iter (parity long)
+    [ ("long ins oob", T.Ins (oob, "x")); ("long del oob", T.Del (oob - 3, 5)) ]
 
 let transform_cases () =
   let t ?(tie = Sm_ot.Side.uniform Sm_ot.Side.Incoming) a b = T.transform a ~against:b ~tie in

@@ -1,12 +1,13 @@
 (* The rope/flat differential battery.
 
    The chunked rope behind [Op_text] must be observationally identical to
-   the flat-string model: same documents, same lengths, same printed form
-   (hence same workspace digests), same errors.  Three layers of evidence:
+   the flat-string reference model (lib/check's [Ref_text]): same
+   documents, same lengths, same printed form (hence same workspace
+   digests), same errors.  Three layers of evidence:
 
    - a differential sweep over every operation and operation sequence the
-     lib/check enumerator produces for text, applied to both
-     representations (apply, transform, compact and digest equality);
+     lib/check enumerator produces for text, applied to the rope and to the
+     flat model (apply, transform, compact and digest equality);
    - adversarial chunk-boundary fixtures on multi-chunk documents —
      inserts and deletes spanning leaf seams, whole-chunk deletes,
      repeated edge appends;
@@ -16,6 +17,7 @@
 
 open Test_support
 module T = Sm_ot.Op_text
+module F = Sm_check.Ref_text
 module Rope = Sm_ot.Rope
 module Tx = Sm_check.Instances.Text
 module Ws = Sm_mergeable.Workspace
@@ -24,21 +26,21 @@ module Rng = Sm_util.Det_rng
 
 let pp_of st = Format.asprintf "%a" T.pp_state st
 
-(* Apply [op] to flat and rope builds of the same document and demand
-   byte-, length-, print- and equality-level agreement. *)
+(* Apply [op] to the flat model and to a rope of the same document and
+   demand byte-, length-, print- and equality-level agreement. *)
 let differential_step s op =
-  let f = T.apply (T.flat_of_string s) op in
-  let r = T.apply (T.rope_of_string s) op in
+  let f = F.apply s op in
+  let r = T.apply (T.of_string s) op in
   let ok =
-    String.equal (T.to_string f) (T.to_string r)
-    && T.length f = T.length r
-    && T.equal_state f r && T.equal_state r f
-    && String.equal (pp_of f) (pp_of r)
+    String.equal f (T.to_string r)
+    && String.length f = T.length r
+    && Rope.equal_string r f
+    && String.equal (Format.asprintf "%a" F.pp_state f) (pp_of r)
   in
   if not ok then
     Alcotest.failf "divergence: state %S op %s (flat %S, rope %S)" s
-      (Format.asprintf "%a" T.pp_op op) (T.to_string f) (T.to_string r);
-  T.to_string f
+      (Format.asprintf "%a" T.pp_op op) f (T.to_string r);
+  f
 
 (* every enumerated single op, on every enumerated state *)
 let enumerated_ops_differential () =
@@ -50,12 +52,12 @@ let enumerated_ops_differential () =
         (fun op ->
           ignore (differential_step s op);
           incr total)
-        (Tx.ops (T.flat_of_string s)))
+        (Tx.ops (T.of_string s)))
     states;
   check_bool "swept a real op space" (!total > 50)
 
-(* every enumerated 2-op sequence: apply both raw and compacted, on both
-   representations — four runs that must land on the same document *)
+(* every enumerated 2-op sequence: apply both raw and compacted, on the rope
+   and the flat model — four runs that must land on the same document *)
 let enumerated_sequences_differential () =
   let states = [ ""; "ab"; "abcdef" ] in
   List.iter
@@ -67,24 +69,23 @@ let enumerated_sequences_differential () =
             (fun b ->
               let s2 = differential_step s1 b in
               let compacted = T.compact [ a; b ] in
-              let apply_all st ops = List.fold_left T.apply st ops in
-              let fc = apply_all (T.flat_of_string s) compacted in
-              let rc = apply_all (T.rope_of_string s) compacted in
-              check_bool "compacted flat agrees" (String.equal (T.to_string fc) s2);
+              let fc = List.fold_left F.apply s compacted in
+              let rc = List.fold_left T.apply (T.of_string s) compacted in
+              check_bool "compacted flat agrees" (String.equal fc s2);
               check_bool "compacted rope agrees" (String.equal (T.to_string rc) s2);
-              check_bool "compacted reps agree" (T.equal_state fc rc))
-            (Tx.ops (T.flat_of_string s1)))
-        (Tx.ops (T.flat_of_string s)))
+              check_bool "compacted reps agree" (Rope.equal_string rc fc))
+            (Tx.ops (T.of_string s1)))
+        (Tx.ops (T.of_string s)))
     states
 
 (* every enumerated concurrent pair, transformed both ways under both tie
-   winners, applied on both representations: TP1 with the convergence
-   judged across representations *)
+   winners, applied on the rope and the flat model: TP1 with the
+   convergence judged across both *)
 let enumerated_transforms_differential () =
   let states = [ ""; "ab"; "abcd" ] in
   List.iter
     (fun s ->
-      let ops = Tx.ops (T.flat_of_string s) in
+      let ops = Tx.ops (T.of_string s) in
       List.iter
         (fun a ->
           List.iter
@@ -95,16 +96,14 @@ let enumerated_transforms_differential () =
                   let tie_b = Sm_ot.Side.flip tie_a in
                   let a' = T.transform a ~against:b ~tie:tie_a in
                   let b' = T.transform b ~against:a ~tie:tie_b in
-                  let seq st ops = List.fold_left T.apply st ops in
                   (* four routes to the merged document: flat and rope,
                      via-a and via-b — all must agree *)
-                  let flat_via_b = seq (T.apply (T.flat_of_string s) b) a' in
-                  let rope_via_b = seq (T.apply (T.rope_of_string s) b) a' in
-                  let flat_via_a = seq (T.apply (T.flat_of_string s) a) b' in
-                  let rope_via_a = seq (T.apply (T.rope_of_string s) a) b' in
-                  check_bool "tp1 across representations"
-                    (T.equal_state flat_via_b rope_via_b
-                    && T.equal_state flat_via_a rope_via_a
+                  let flat via rest = List.fold_left F.apply (F.apply s via) rest in
+                  let rope via rest = List.fold_left T.apply (T.apply (T.of_string s) via) rest in
+                  let rope_via_b = rope b a' and rope_via_a = rope a b' in
+                  check_bool "tp1 across rope and flat model"
+                    (Rope.equal_string rope_via_b (flat b a')
+                    && Rope.equal_string rope_via_a (flat a b')
                     && T.equal_state rope_via_b rope_via_a))
                 [ true; false ])
             ops)
@@ -112,32 +111,34 @@ let enumerated_transforms_differential () =
     states
 
 (* the end-to-end digest: the same edit script journaled through a
-   workspace digests identically whichever representation [init] picked *)
+   workspace digests identically on a rope cell and on a flat-model cell
+   (same type and key names, so the digests are comparable) *)
+module Flat_data = struct
+  include F
+
+  let type_name = Mtext.Data.type_name
+end
+
+let k_rope = Mtext.key ~name:"rope.digest"
+let k_flat = Ws.create_key (module Flat_data) ~name:"rope.digest"
+
 let workspace_digest_invariant () =
-  let script ws k =
-    Mtext.append ws k "hello world, this is a document";
-    Mtext.insert ws k 5 " there";
-    Mtext.delete ws k ~pos:0 ~len:3;
-    Mtext.append ws k (String.make 2500 'z');
-    Mtext.insert ws k 2000 "seam";
-    Mtext.delete ws k ~pos:1500 ~len:600
+  let script ws k ~len =
+    let append s = Ws.update ws k (T.Ins (len (), s)) in
+    append "hello world, this is a document";
+    Ws.update ws k (T.Ins (5, " there"));
+    Ws.update ws k (T.Del (0, 3));
+    append (String.make 2500 'z');
+    Ws.update ws k (T.Ins (2000, "seam"));
+    Ws.update ws k (T.Del (1500, 600))
   in
-  let digest rope =
-    let was = T.rope_enabled () in
-    Fun.protect
-      ~finally:(fun () -> T.set_rope was)
-      (fun () ->
-        T.set_rope rope;
-        let ws = Ws.create () in
-        let k = Mtext.key ~name:"rope.digest" in
-        Mtext.init ws k "seed";
-        script ws k;
-        (Ws.digest ws, Mtext.get ws k))
-  in
-  let df, cf = digest false in
-  let dr, cr = digest true in
-  Alcotest.(check string) "documents agree" cf cr;
-  Alcotest.(check string) "digests agree" df dr
+  let ws_r = Ws.create () and ws_f = Ws.create () in
+  Mtext.init ws_r k_rope "seed";
+  Ws.init ws_f k_flat "seed";
+  script ws_r k_rope ~len:(fun () -> Mtext.length ws_r k_rope);
+  script ws_f k_flat ~len:(fun () -> String.length (Ws.read ws_f k_flat));
+  Alcotest.(check string) "documents agree" (Ws.read ws_f k_flat) (Mtext.get ws_r k_rope);
+  Alcotest.(check string) "digests agree" (Ws.digest ws_f) (Ws.digest ws_r)
 
 (* --- chunk-boundary fixtures ------------------------------------------------- *)
 
@@ -285,10 +286,12 @@ let split_join_roundtrip () =
   Alcotest.(check string) "sub mid" (String.sub doc 1000 300) (Rope.sub r 1000 300);
   Alcotest.(check string) "sub whole" doc (Rope.sub r 0 5000)
 
-(* copies are content-equal but share no chunk strings with the source *)
+(* the deep-copy model's copies (Ref_copy, a Marshal round-trip) are
+   content-equal, structurally valid, and share no chunk string with the
+   source *)
 let copy_freshness () =
   let r = Rope.of_string (String.make 5000 'x') in
-  let c = Rope.copy r in
+  let c = Sm_check.Ref_copy.deep_copy r in
   check_bool "copy equal" (Rope.equal r c);
   assert_valid c "copy";
   let srcs = ref [] in

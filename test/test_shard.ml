@@ -236,6 +236,30 @@ let test_resume_mid_epoch () =
   in
   check Alcotest.int "B1 merged exactly once" 1 (occurrences text "B1")
 
+(* A shard receiving frames in the pre-v3 layouts counts a reject for each
+   and keeps serving: the session they name still edits and converges. *)
+let test_server_rejects_pre_v3 () =
+  let svc = make_service () in
+  let shard = Service.shard_of svc "t/readme" in
+  let server = Service.shard svc shard in
+  let a = connect svc ~shard "alice" in
+  drive svc [ a ] (fun () -> Client.synced a);
+  let session = Option.get (Client.session a) in
+  let _, poll = Sm_dist.Wire.Frame.open_ (Proto.seal_c2s (Proto.Poll { session; req = 99 })) in
+  let raw = Sm_sim.Netpipe.connect (Service.listener svc shard) in
+  let r0 = Sm_shard.Server.rejected_frames server in
+  List.iter
+    (fun version -> Sm_sim.Netpipe.send raw (Test_support.pre_v3_frame ~version ~kind:0 poll))
+    [ 1; 2 ];
+  Service.tick svc;
+  check Alcotest.int "both frames rejected" 2 (Sm_shard.Server.rejected_frames server - r0);
+  checkb "no reply to a rejected frame" true (Sm_sim.Netpipe.try_recv raw = None);
+  Client.edit a (fun ws -> Ws.update ws readme_key (Sm_ot.Op_text.Ins (0, "still here ")));
+  Client.flush a;
+  drive svc [ a ] (fun () -> Client.synced a);
+  check Alcotest.string "the session kept serving"
+    (Sm_shard.Server.digest server) (Ws.digest (Client.view a))
+
 (* --- load: determinism, chaos, and the executors ----------------------------- *)
 
 let chaos_profile =
@@ -448,6 +472,8 @@ let suite =
   ; Alcotest.test_case "service: two clients converge" `Quick test_two_client_convergence
   ; Alcotest.test_case "service: idle resume refreshes the view" `Quick test_resume_refreshes_idle_view
   ; Alcotest.test_case "service: resume mid-epoch, exactly-once merge" `Quick test_resume_mid_epoch
+  ; Alcotest.test_case "service: pre-v3 frames rejected, session served" `Quick
+      test_server_rejects_pre_v3
   ; Alcotest.test_case "load: seed-reproducible under chaos" `Quick test_load_reproducible
   ; Alcotest.test_case "load: delta and snapshot modes agree" `Quick test_load_mode_invariance
   ; Alcotest.test_case "load: chaos converges on both schedulers" `Quick test_load_across_schedulers

@@ -116,13 +116,13 @@ let truncate_then_merge =
 (* --- structural-sharing battery (copy-on-write workspaces) ------------------
 
    Spawn is O(cells) because children alias the parent's persistent state
-   snapshots.  The battery pins the contract down observably: sharing costs
-   zero copies ([ws.cow_hits] = 0 until someone writes, [ws.copy_bytes] = 0
-   under COW), the first write per sharing window costs exactly one cow hit,
+   snapshots.  The battery pins the contract down observably: sharing is
+   physical ([==] on every state) and costs no cow hit until someone
+   writes, the first write per sharing window costs exactly one cow hit,
    writes are isolated across all nine mergeable types, clone chains
    preserve digests, and lazily merged journals materialize on observation.
-   Every COW-specific assertion consults [cow_enabled] so the same battery
-   passes under the SM_COW=0 deep-copy baseline. *)
+   That aliasing equals the paper's deep copy rests on no [apply] mutating
+   its input — lib/check's persistence law, exercised below. *)
 
 module M = Sm_obs.Metrics
 module Mcounter = Sm_mergeable.Mcounter
@@ -178,24 +178,23 @@ let with_metrics f =
   Fun.protect ~finally:(fun () -> M.set_enabled saved) f
 
 let hits () = M.value Ws.cow_hits
-let bytes () = M.value Ws.copy_bytes
 let check_int name expected got = Alcotest.(check int) name expected got
+
+(* every one of the nine cells of [a] aliases [b]'s state *)
+let shares_all_nine a b =
+  let same k = Ws.read a k == Ws.read b k in
+  same nk_counter && same nk_reg && same nk_text && same nk_list && same nk_queue
+  && same nk_stack && same nk_set && same nk_map && same nk_tree
 
 let spawn_zero_copy () =
   with_metrics @@ fun () ->
   let ws = make_nine () in
-  let h0 = hits () and b0 = bytes () in
+  let h0 = hits () in
   let child = Ws.copy ws in
   check_int "nine cells travel" 9 (Ws.cell_count child);
   check_int "spawn costs no cow hits" 0 (hits () - h0);
-  if Ws.cow_enabled () then begin
-    check_int "spawn copies zero bytes" 0 (bytes () - b0);
-    (* the child aliases the parent's persistent states outright *)
-    check_bool "text state shared" (Mtext.state ws nk_text == Mtext.state child nk_text);
-    check_bool "list state shared" (Mlist.get ws nk_list == Mlist.get child nk_list);
-    check_bool "tree state shared" (Mtree.get ws nk_tree == Mtree.get child nk_tree)
-  end
-  else check_bool "baseline deep-copies bytes" (bytes () - b0 > 0);
+  check_bool "the child aliases all nine states" (shares_all_nine ws child);
+  check_int "copy_bytes reads 0" 0 (M.value Ws.copy_bytes);
   check_bool "identical observations on both sides" (Ws.equal ws child);
   check_bool "identical digests" (String.equal (Ws.digest ws) (Ws.digest child));
   check_int "reading costs no cow hits either" 0 (hits () - h0)
@@ -206,20 +205,15 @@ let cow_hit_on_first_write () =
   let child = Ws.copy ws in
   let h0 = hits () in
   Mtext.append child nk_text "!";
-  let after_first = hits () - h0 in
+  check_int "first write privatizes the cell once" 1 (hits () - h0);
+  check_bool "the written cell no longer aliases"
+    (not (Mtext.state ws nk_text == Mtext.state child nk_text));
+  check_bool "the other cells still do" (Mlist.get ws nk_list == Mlist.get child nk_list);
   Mtext.append child nk_text "?";
-  let after_second = hits () - h0 in
-  if Ws.cow_enabled () then begin
-    check_int "first write privatizes the cell once" 1 after_first;
-    check_int "later writes are free" 1 after_second;
-    Mtext.append ws nk_text "~";
-    check_int "the parent's first write also counts" 2 (hits () - h0)
-  end
-  else begin
-    check_int "the baseline never cow-hits" 0 after_second;
-    Mtext.append ws nk_text "~"
-  end;
-  check_bool "the texts diverged regardless of mode"
+  check_int "later writes are free" 1 (hits () - h0);
+  Mtext.append ws nk_text "~";
+  check_int "the parent's first write also counts" 2 (hits () - h0);
+  check_bool "the texts diverged"
     (not (String.equal (Mtext.get child nk_text) (Mtext.get ws nk_text)))
 
 let write_isolation_nine () =
@@ -239,14 +233,14 @@ let copy_chain_zero_copy () =
   with_metrics @@ fun () ->
   let ws = make_nine () in
   let d0 = Ws.digest ws in
-  let h0 = hits () and b0 = bytes () in
+  let h0 = hits () in
   let deepest = List.fold_left (fun w _ -> Ws.copy w) ws (List.init 20 Fun.id) in
   check_int "20-deep spawn chain: no cow hits" 0 (hits () - h0);
-  if Ws.cow_enabled () then check_int "and zero bytes copied" 0 (bytes () - b0);
+  check_bool "the deepest copy aliases the root's states" (shares_all_nine ws deepest);
   check_bool "deepest copy digests like the root" (String.equal d0 (Ws.digest deepest));
   let h1 = hits () in
   Mcounter.incr deepest nk_counter;
-  if Ws.cow_enabled () then check_int "one hit at the deepest only" 1 (hits () - h1);
+  check_int "one hit at the deepest only" 1 (hits () - h1);
   check_bool "the root never noticed" (String.equal d0 (Ws.digest ws))
 
 let clone_trimmed_chain () =
@@ -294,56 +288,41 @@ let lazy_merge_materializes () =
   check_bool "truncation keeps the unapplied suffix readable"
     (Mlist.get ws nk_lazy = expected @ [ 9 ])
 
-let copy_state_laws () =
-  let law (type s o) name
-      (module D : Sm_mergeable.Data.S with type state = s and type op = o) (s : s) ~fresh =
-    let c = D.copy_state s in
-    check_bool (name ^ ": copy is equal") (D.equal_state s c);
-    check_bool (name ^ ": copy prints identically")
-      (String.equal (Format.asprintf "%a" D.pp_state s) (Format.asprintf "%a" D.pp_state c));
-    check_bool (name ^ ": size is positive") (D.state_size s > 0);
-    (* scalars copy by identity (nothing structural to duplicate); aggregates
-       must come back structurally fresh *)
-    if fresh then check_bool (name ^ ": copy is structurally fresh") (not (s == c))
-  in
-  law "counter" (module Mcounter.Data) 41 ~fresh:false;
-  law "register" (module Mreg.Data) "reg" ~fresh:false;
-  law "text" (module Mtext.Data) (Sm_ot.Op_text.of_string "abcdef") ~fresh:true;
-  law "list" (module Mlist.Data) [ 1; 2 ] ~fresh:true;
-  law "queue" (module Mq.Data) [ 3 ] ~fresh:true;
-  law "stack" (module Mstk.Data) [ 4 ] ~fresh:true;
-  law "set" (module Mset.Data) Mset.Op.Elt_set.(add 1 (add 2 empty)) ~fresh:true;
-  law "map" (module Mmap.Data) Mmap.Op.Key_map.(add "a" 1 empty) ~fresh:true;
-  law "tree" (module Mtree.Data) [ Mtree.Op.leaf "x" ] ~fresh:true;
-  check_bool "text size tracks content"
-    (Mtext.Data.state_size (Sm_ot.Op_text.of_string (String.make 1000 'x'))
-    > Mtext.Data.state_size (Sm_ot.Op_text.of_string "x"))
+(* lib/check's persistence law over all nine registered op modules: no
+   enumerated [apply] changes its input's Marshal image *)
+let persistence_law () =
+  let others = Sm_check.Report.[ Tp1; Cross; Merge_order; Merge_nested; Compact ] in
+  List.iter
+    (fun entry ->
+      let module E = (val Sm_check.Registry.enum entry) in
+      let module K = Sm_check.Checker.Make (E) in
+      match K.check ~skip:others ~depth:2 () with
+      | Ok (counts : Sm_check.Report.counts) ->
+        check_bool (E.name ^ ": persistence cases enumerated") (counts.persistence > 0)
+      | Error _ -> Alcotest.failf "%s: apply mutated its input" E.name)
+    (Sm_check.Registry.all ())
 
-(* the full merge pipeline digests identically under both representations *)
-let cow_equivalence =
-  qtest ~count:200 "digest invariant under set_cow" gen_case
+(* the full merge pipeline digests identically when every apply also runs
+   on a deep copy of its input (Ref_copy.detached, the paper's model) *)
+let nk_cow_deep =
+  Ws.create_key (Sm_check.Ref_copy.detached (module Mlist.Data)) ~name:"nine.cowprop"
+
+let deep_copy_equivalence =
+  qtest ~count:200 "digest invariant under the deep-copy model" gen_case
     (fun (initial, parent_script, s1, s2) ->
-      let run () =
+      let run key =
         let ws = Ws.create () in
-        Ws.init ws nk_cow initial;
+        Ws.init ws key initial;
         let base = Ws.snapshot ws in
         let c1 = Ws.copy ws and c2 = Ws.copy ws in
-        apply_script ws nk_cow parent_script;
-        apply_script c1 nk_cow s1;
-        apply_script c2 nk_cow s2;
+        apply_script ws key parent_script;
+        apply_script c1 key s1;
+        apply_script c2 key s2;
         Ws.merge_child ~parent:ws ~child:c1 ~base;
         Ws.merge_child ~parent:ws ~child:c2 ~base;
         Ws.digest ws
       in
-      let saved = Ws.cow_enabled () in
-      Fun.protect
-        ~finally:(fun () -> Ws.set_cow saved)
-        (fun () ->
-          Ws.set_cow true;
-          let on = run () in
-          Ws.set_cow false;
-          let off = run () in
-          String.equal on off))
+      String.equal (run nk_cow) (run nk_cow_deep))
 
 let suite =
   [ workspace_matches_control
@@ -356,6 +335,6 @@ let suite =
   ; Alcotest.test_case "20-deep copy chains share until written" `Quick copy_chain_zero_copy
   ; Alcotest.test_case "clone chains preserve digests and versions" `Quick clone_trimmed_chain
   ; Alcotest.test_case "lazy merges materialize on observation" `Quick lazy_merge_materializes
-  ; Alcotest.test_case "copy_state/state_size laws (nine types)" `Quick copy_state_laws
-  ; cow_equivalence
+  ; Alcotest.test_case "persistence law (nine types)" `Quick persistence_law
+  ; deep_copy_equivalence
   ]
